@@ -217,7 +217,7 @@ def test_continuous_batching_beats_drain_on_mixed_length_trace(benchmark):
     )
     # Acceptance property: >= 1.5x modelled req/s at high mixed-length load,
     # on both arrival patterns, and the gain is slot occupancy, not clock
-    # trickery (same step model priced both runs).
+    # trickery (same step_burst model priced both runs).
     assert comparison.speedup >= CONTINUOUS_SPEEDUP_FLOOR
     assert bursty.speedup >= CONTINUOUS_SPEEDUP_FLOOR
     assert continuous.mean_occupancy > drain.mean_occupancy
@@ -228,7 +228,7 @@ def test_iteration_rows_quantum_sweep(benchmark):
 
     ``iteration_rows`` trades scheduling granularity (small quanta refill
     freed slots sooner) against per-iteration bookkeeping (every iteration
-    is one ``step`` pricing plus one admission pass).  The sweep serves one
+    is one pricing pass plus one admission pass).  The sweep serves one
     seeded overloaded mixed-length trace at each quantum on the same
     simulated clock and reports modelled requests/sec per quantum —
     everything deterministic, so the table is reproducible bit for bit.
@@ -292,13 +292,16 @@ def test_event_scheduler_replays_100k_diurnal_trace_in_seconds(benchmark):
     the regime where the old loop's per-iteration bookkeeping dominated
     (ROADMAP item 3).  The event-driven scheduler skips the clock across
     quiet stretches and prices each fixed-resident burst in one vectorized
-    call; the quantum-stepped reference loop prices the *same* trace one
-    Python ``step`` per iteration, so its per-iteration wall rate is
-    measured on a prefix (``DIURNAL_REFERENCE_PREFIX``) and the ratio of
-    iterations-priced-per-second is the vectorization speedup.  Both legs
-    are bit-identical in every modelled number (asserted here on the prefix,
-    property-tested in ``tests/serving/test_continuous.py``), so the ratio
-    is pure host-side scheduling cost — no accounting shortcut.
+    call; the quantum-stepped reference loop walks the *same* trace one
+    Python iteration at a time, each priced by its own one-iteration
+    ``step_burst`` call, so its per-iteration wall rate is measured on a
+    prefix (``DIURNAL_REFERENCE_PREFIX``).  The ratio of
+    iterations-priced-per-second is therefore one burst call per scheduling
+    event against one burst call (plus one admission and retirement pass)
+    per iteration.  Both legs are bit-identical in every modelled number
+    (asserted here on the prefix, property-tested in
+    ``tests/serving/test_continuous.py``), so the ratio is pure host-side
+    scheduling cost — no accounting shortcut.
     """
     config = SWATConfig.longformer(window_tokens=128)
     count = max(16, int(os.environ.get("SERVING_DIURNAL_REQUESTS", "100000")) // 4 * 4)

@@ -165,8 +165,8 @@ class _RowSpanPricing:
         ``boundaries`` is a strictly increasing int array ``(K + 1,)``; span
         ``i`` covers rows ``[boundaries[i], boundaries[i + 1])``.  The first
         span follows ``primed``; later spans are primed by construction (the
-        pipeline just streamed the preceding span) — matching the looped
-        ``step_burst`` reference exactly.  Spans after the first price as
+        pipeline just streamed the preceding span) — matching one
+        :meth:`span_cycles` call per span exactly.  Spans after the first price as
         differences of a cumulative cost ``C(b)`` (streamed rows below ``b``
         plus interior refills whose boundary lies below ``b``), so the whole
         burst is two ``searchsorted`` calls instead of a Python loop.

@@ -12,7 +12,6 @@ request queue with dynamic batching (:mod:`repro.serving.batcher`,
 from repro.serving.backends import (
     AttentionBackend,
     BackendResult,
-    StepCost,
     available_backends,
     create_backend,
     register_backend,
@@ -50,7 +49,6 @@ from repro.serving.stats import BatchRecord, ServingStats, decode_token_interval
 __all__ = [
     "AttentionBackend",
     "BackendResult",
-    "StepCost",
     "available_backends",
     "create_backend",
     "register_backend",

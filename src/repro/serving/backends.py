@@ -37,14 +37,17 @@ comparable across all backends regardless of their clock domain.
 
 Beside the drain-style ``execute_batch`` protocol, backends with a *modelled*
 clock expose iteration-level pricing for the continuous-batching engine
-(:mod:`repro.serving.continuous`): :meth:`AttentionBackend.step` prices one
-iteration of ``(request, rows_done, rows)`` slices so a batch's cost can be
-split across admissions — the pipeline fill is charged only when the pipeline
-was idle before the iteration (fill amortisation recomputed per iteration,
-never per drain), and the per-iteration cycles of a busy period sum exactly
-to what :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
-would charge for the same rows streamed as one batch.  Backends whose clock
-is measured host time (``fused``) set ``supports_continuous = False``.
+(:mod:`repro.serving.continuous`): :meth:`AttentionBackend.step_burst` prices
+the iterations of ``(request, rows_done, remaining_rows)`` residents up to
+the first retirement, so a batch's cost can be split across admissions — the
+pipeline fill is charged only when the pipeline was idle before a burst
+(fill amortisation recomputed per iteration, never per drain), and the
+per-iteration cycles of a busy period sum exactly to what
+:meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` would
+charge for the same rows streamed as one batch.  It is the one
+iteration-pricing method a backend implements: a single iteration is a
+one-iteration burst.  Backends whose clock is measured host time
+(``fused``) set ``supports_continuous = False``.
 
 Whole-model forwards
 --------------------
@@ -72,8 +75,7 @@ memoised per ``(spec, block schedule)``); the GPU and dense-FPGA baselines
 scale their full-context reports to the generated rows — per new token they
 still attend the whole context, which is exactly the KV-cache advantage the
 decode benchmark measures against re-prefilling.  Decode steps are tiny, so
-every ``step_burst`` override prices them closed-form — no looped-``step``
-fallback anywhere on the continuous path.
+every ``step_burst`` prices them closed-form, like every other slice kind.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ from repro.serving.request import AttentionRequest, DecodeRequest, ForwardReques
 
 __all__ = [
     "BackendResult",
-    "StepCost",
     "StepBurst",
     "AttentionBackend",
     "BackendRegistry",
@@ -153,32 +154,6 @@ class BackendResult:
 
 
 @dataclass(frozen=True)
-class StepCost:
-    """Price of one continuous-batching iteration on a backend's clock.
-
-    Attributes
-    ----------
-    seconds:
-        Modelled device time of the iteration.  Resident slices stream in
-        parallel across the stacked batch axis, so the iteration lasts as
-        long as its *gating* (largest) slice, not the sum of all slices.
-    cycles:
-        Modelled cycle count when the backend has a cycle-accurate clock
-        domain, else ``None``.
-    energy_joules:
-        Modelled energy of the iteration.
-    gate_rows:
-        Row-work units of the gating slice — the quantity the pipeline
-        actually streamed for the duration of the iteration.
-    """
-
-    seconds: float
-    cycles: "int | None"
-    energy_joules: float
-    gate_rows: int = 0
-
-
-@dataclass(frozen=True)
 class StepBurst:
     """Prices of a *burst* of consecutive iterations over fixed residents.
 
@@ -187,9 +162,9 @@ class StepBurst:
     of the burst advances the same slices — the whole burst is a closed-form
     function of the residents' remaining rows.
     :meth:`AttentionBackend.step_burst` prices all of them in one call; the
-    arrays hold one entry per iteration, in order, each entry bit-identical
-    to what the corresponding :meth:`~AttentionBackend.step` call would have
-    returned.
+    arrays hold one entry per iteration, in order.  Resident slices stream
+    in parallel across the stacked batch axis, so each iteration lasts as
+    long as its *gating* slice, not the sum of all slices.
 
     Attributes
     ----------
@@ -199,7 +174,8 @@ class StepBurst:
         Per-iteration cycle counts (``int64`` array) when the backend has a
         cycle-accurate clock domain, else ``None``.
     gate_rows:
-        Per-iteration rows of the gating slice (``int64`` array).
+        Per-iteration rows of the gating slice (``int64`` array) — the
+        quantity the pipeline actually streamed for the iteration.
     iterations:
         Burst length: iterations until the resident with the fewest
         remaining rows retires.  The scheduler may consume a prefix when an
@@ -224,8 +200,9 @@ class AttentionBackend(ABC):
 
     name: str = ""
     functional: bool = False
-    #: Whether :meth:`step` prices iterations on a modelled (deterministic)
-    #: clock.  ``False`` for backends whose clock is measured host time.
+    #: Whether :meth:`step_burst` prices iterations on a modelled
+    #: (deterministic) clock.  ``False`` for backends whose clock is
+    #: measured host time.
     supports_continuous: bool = False
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
@@ -348,27 +325,6 @@ class AttentionBackend(ABC):
         """
         return self.request_rows(request)
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """Price one iteration advancing each ``(request, rows_done, rows)`` slice.
-
-        ``rows_done`` is how far the request had streamed before this
-        iteration — whole-model forwards are priced positionally along their
-        model-wide row axis, so a slice knows which layers (and geometry
-        switches) it covers.  Resident slices stream in parallel across the
-        stacked batch axis (the ``G`` axis of
-        :class:`~repro.core.plan.PlanBatch`), so the iteration is gated by
-        its largest slice.  ``primed`` is ``True`` when the pipeline was busy
-        in the immediately preceding iteration: a primed pipeline pays no
-        refill, which is how a batch's fill cost is amortised across
-        admissions instead of being re-charged per dispatch.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no modelled per-iteration clock "
-            f"(supports_continuous={self.supports_continuous})"
-        )
-
     def step_burst(
         self,
         slices: "list[tuple[AttentionRequest, int, int]]",
@@ -378,59 +334,31 @@ class AttentionBackend(ABC):
         """Price every iteration until the first resident retires, in one call.
 
         ``slices`` holds ``(request, rows_done, remaining_rows)`` per
-        resident — note the third element is the rows *left to stream*, not
-        one iteration's slice: the burst derives each iteration's slices
-        itself (``min(iteration_rows, remaining)``, shrinking only on the
-        final iteration).  ``primed`` applies to the first iteration; later
-        iterations of a burst are primed by construction (the shard streamed
-        in the immediately preceding iteration).
-
-        The default implementation loops :meth:`step` once per iteration —
-        bit-identical to the quantum-stepped scheduler by definition.
-        Vectorized backends override it with closed-form array pricing that
-        reproduces the same bits without the Python loop.
+        resident.  ``rows_done`` is how far the request had streamed before
+        the burst — whole-model forwards are priced positionally along their
+        model-wide row axis, so a slice knows which layers (and geometry
+        switches) it covers.  The third element is the rows *left to
+        stream*, not one iteration's slice: the burst derives each
+        iteration's slices itself (``min(iteration_rows, remaining)``,
+        shrinking only on the final iteration), so a resident with at most
+        ``iteration_rows`` rows left prices exactly one iteration.
+        ``primed`` is ``True`` when the pipeline was busy in the immediately
+        preceding iteration: a primed pipeline pays no refill, which is how
+        a batch's fill cost is amortised across admissions instead of being
+        re-charged per dispatch.  It applies to the first iteration; later
+        iterations of a burst are primed by construction.
         """
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = [rows_left for _, _, rows_left in slices]
-        if min(remaining) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {min(remaining)}")
-        iterations = -(-min(remaining) // iteration_rows)
-        seconds = np.empty(iterations)
-        energy = np.empty(iterations)
-        gate_rows = np.empty(iterations, dtype=np.int64)
-        cycles = np.empty(iterations, dtype=np.int64)
-        has_cycles = True
-        for index in range(iterations):
-            advanced = index * iteration_rows
-            cost = self.step(
-                [
-                    (request, rows_done + advanced, min(iteration_rows, rows_left - advanced))
-                    for request, rows_done, rows_left in slices
-                ],
-                primed if index == 0 else True,
-            )
-            seconds[index] = cost.seconds
-            energy[index] = cost.energy_joules
-            gate_rows[index] = cost.gate_rows
-            if cost.cycles is None:
-                has_cycles = False
-            else:
-                cycles[index] = cost.cycles
-        return StepBurst(
-            seconds=seconds,
-            cycles=cycles if has_cycles else None,
-            energy_joules=energy,
-            gate_rows=gate_rows,
-            iterations=iterations,
+        raise NotImplementedError(
+            f"backend {self.name!r} has no modelled per-iteration clock "
+            f"(supports_continuous={self.supports_continuous})"
         )
 
     def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
         """Functional outputs of ``batch`` without touching the timing model.
 
-        The continuous engine prices execution through :meth:`step` and asks
-        for outputs separately at retirement; non-functional backends return
-        ``None`` per request.
+        The continuous engine prices execution through :meth:`step_burst`
+        and asks for outputs separately at retirement; non-functional
+        backends return ``None`` per request.
         """
         return (None,) * len(batch)
 
@@ -580,6 +508,20 @@ def indexed_seq_len_groups(
     return groups
 
 
+def _burst_iterations(slices, iteration_rows: int) -> int:
+    """Validate a burst's ``(request, rows_done, remaining_rows)`` slices.
+
+    Returns the burst length: iterations until the resident with the fewest
+    remaining rows retires.  One pass over the slices.
+    """
+    if not slices:
+        raise ValueError("a burst needs at least one resident slice")
+    min_remaining = min(rows_left for _, _, rows_left in slices)
+    if min_remaining <= 0:
+        raise ValueError(f"remaining rows must be positive, got {min_remaining}")
+    return -(-min_remaining // iteration_rows)
+
+
 class _SWATBackendBase(AttentionBackend):
     """Shared SWAT machinery: simulator, batch timing, traffic and energy."""
 
@@ -591,7 +533,7 @@ class _SWATBackendBase(AttentionBackend):
             # recompiling even when no pool-wide cache was supplied.
             self.plan_cache = PlanCache()
         self.simulator = SWATSimulator(self.config, plan_cache=self.plan_cache)
-        # Hot-loop constants of the step clock, resolved once: the continuous
+        # Hot-loop constants of the burst clock, resolved once: the continuous
         # scheduler prices millions of iterations through these, and the
         # attribute chains (pipeline model, power breakdown) are pure
         # functions of the frozen config.
@@ -599,31 +541,14 @@ class _SWATBackendBase(AttentionBackend):
         self._clock_period_s = self.config.clock_period_s
         self._total_power_w = self.simulator.power_model.total_power_w
 
-    def _stream_cycles(self, rows: int, primed: bool) -> int:
-        """The one SWAT clock primitive every timing path prices through.
-
-        ``rows`` gating rows streamed serially on the most-loaded pipeline
-        replica: a cold stream pays the fill
-        (:meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`,
-        ``depth + (rows - 1) * II``), a primed one runs at ``rows * II``.
-        Both the drain engine's whole-dispatch pricing and the continuous
-        engine's per-iteration :meth:`step` reduce to this function — one
-        device model, two schedulers.
-        """
-        if rows <= 0:
-            return 0
-        if primed:
-            return rows * self._initiation_interval
-        return self.simulator.pipeline.cycles_for_rows(rows)
-
     def _batch_timing(self, batch: "list[AttentionRequest]") -> "tuple[int, float, float]":
-        """Cycles/seconds/energy of a drained dispatch, on the step clock.
+        """Cycles/seconds/energy of a drained dispatch.
 
         A drained dispatch is one cold stream: its attention requests' rows
         (heads spread across the replicated pipelines, exactly
         :meth:`request_rows`) run back to back with a single fill —
-        ``_stream_cycles(total_rows, primed=False)``, bit-identical to the
-        ``batch_attention_cycles`` formula this path used to price through.
+        ``cycles_for_rows(total_rows)``, the same
+        ``batch_attention_cycles`` total a cold continuous burst charges.
         Each whole-model forward prices off its compiled
         :class:`~repro.model.plan.ModelPlan` — per-layer pipelines, fills at
         geometry switches, per-layer power hooks.  Each decode prices off its
@@ -631,8 +556,8 @@ class _SWATBackendBase(AttentionBackend):
         prompt's K/V stays resident.
         """
         attentions, forwards, decodes = split_batch(batch)
-        cycles = self._stream_cycles(
-            sum(self.request_rows(request) for _, request in attentions), primed=False
+        cycles = self.simulator.pipeline.cycles_for_rows(
+            sum(self.request_rows(request) for _, request in attentions)
         )
         seconds = cycles * self._clock_period_s
         energy = self._total_power_w * seconds
@@ -708,50 +633,6 @@ class _SWATBackendBase(AttentionBackend):
             return self.model_plan(request)
         return None
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the SWAT pipeline: gated by the largest slice.
-
-        Resident slices stream in parallel on the stacked batch axis; the
-        gating slice's rows pass through the pipeline at one row per
-        initiation interval.  A cold pipeline pays the fill
-        (``depth + (rows - 1) * II``, exactly
-        :meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`); a
-        primed one streams at ``rows * II``.  Summed over a busy period the
-        fill is therefore charged once — the same total
-        :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
-        charges for the period's gating rows as one drained batch.  Forward
-        and decode slices are priced positionally along their plan's row axis
-        (:meth:`~repro.model.plan._RowSpanPricing.span_cycles`): their
-        segments' own initiation intervals, with geometry-switch refills
-        charged exactly once wherever the iteration boundaries fall — a solo
-        forward's (or decode's) slices sum bit-exactly to its drained
-        ``total_cycles``.
-        """
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        cycles = 0
-        gate_rows = 0
-        for request, rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            plan = self._positional_plan(request)
-            if plan is not None:
-                slice_cycles = plan.span_cycles(rows_done, rows_done + rows, primed)
-            else:
-                slice_cycles = self._stream_cycles(rows, primed)
-            if slice_cycles > cycles:
-                cycles = slice_cycles
-                gate_rows = rows
-        seconds = cycles * self._clock_period_s
-        return StepCost(
-            seconds=seconds,
-            cycles=cycles,
-            energy_joules=self._total_power_w * seconds,
-            gate_rows=gate_rows,
-        )
-
     def step_burst(
         self,
         slices: "list[tuple[AttentionRequest, int, int]]",
@@ -760,24 +641,27 @@ class _SWATBackendBase(AttentionBackend):
     ) -> StepBurst:
         """Closed-form SWAT burst: the pipeline streams one row per II.
 
+        Each iteration is gated by its largest slice, whose rows pass through
+        the pipeline at one row per initiation interval.  A cold pipeline
+        pays the fill (``depth + (rows - 1) * II``, exactly
+        :meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`); a
+        primed one streams at ``rows * II``.  Summed over a busy period the
+        fill is therefore charged once — the same total
+        :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
+        charges for the period's gating rows as one drained batch.
+
         With the resident set fixed, every iteration before the last
         advances exactly ``iteration_rows`` gating rows, so an attention-only
         burst is ``[fill-or-primed first, (K - 2) primed full slices, one
-        primed remainder]`` — a handful of array ops instead of ``K``
-        Python-loop ``step`` calls, bit-identical entry for entry.  Forward
-        and decode slices are priced positionally, and their closed form is
+        primed remainder]`` — a handful of array ops.  Forward and decode
+        slices are priced positionally, and their closed form is
         :meth:`~repro.model.plan._RowSpanPricing.span_cycles_batch`: one
         cycle row per resident (cumulative-cost differences off the plan's
-        prefix sums), with ``np.argmax`` down the slice axis reproducing the
-        reference loop's first-strict-max gating — no looped-``step``
-        fallback on any slice kind.
+        prefix sums, geometry-switch refills charged exactly once wherever
+        the iteration boundaries fall), with ``np.argmax`` down the slice
+        axis gating each iteration on its first largest slice.
         """
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        min_remaining = min(rows_left for _, _, rows_left in slices)
-        if min_remaining <= 0:
-            raise ValueError(f"remaining rows must be positive, got {min_remaining}")
-        iterations = -(-min_remaining // iteration_rows)
+        iterations = _burst_iterations(slices, iteration_rows)
         streamed = (iterations - 1) * iteration_rows
         plans = [self._positional_plan(request) for request, _, _ in slices]
         if all(plan is None for plan in plans):
@@ -807,8 +691,7 @@ class _SWATBackendBase(AttentionBackend):
                 row[-1] = last_slice_rows[index] * self._initiation_interval
                 if not primed:
                     # For a one-iteration burst this overwrites the remainder
-                    # entry: a cold slice prices the fill, exactly as the
-                    # reference loop's first iteration does.
+                    # entry: a cold first iteration prices the fill.
                     row[0] = self.simulator.pipeline.cycles_for_rows(
                         min(iteration_rows, rows_left)
                     )
@@ -890,7 +773,7 @@ class SimulatorBackend(_SWATBackendBase):
 
         Exactly the execution path of :meth:`execute_batch`, minus the
         timing/traffic accounting: the continuous engine prices iterations
-        through :meth:`step` and fetches outputs here at retirement, so the
+        through :meth:`step_burst` and fetches outputs here at retirement, so the
         per-head bits are identical to a drain dispatch (and, by the stacked
         executor's contract, to running each request alone).
         """
@@ -1071,40 +954,6 @@ class _GPUBackendBase(AttentionBackend):
             return request.num_layers * request.num_heads * request.seq_len
         return self.request_rows(request)
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the GPU clock: gated by the slowest slice.
-
-        Each slice is priced at its request's per-row rate (the memoised
-        full-shape :meth:`run_batch` report divided by its total rows, so a
-        solo request's slices sum exactly to its one-shot report — launch
-        cost included, hence ``primed`` carries no extra fill here).  A
-        whole-model forward's report batches its ``L x H`` per-layer
-        instances into one kernel stream at the model's seq_len.  The
-        iteration lasts as long as the slowest slice; energy tracks the work
-        of every slice.
-        """
-        del primed  # launch cost is embedded in the per-shape rate
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        gate_seconds = 0.0
-        gate_rows = 0
-        energy = 0.0
-        for request, _rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            report = self._shape_report(request.seq_len, self._report_items(request))
-            total_rows = self._rate_rows(request)
-            slice_seconds = report.seconds * rows / total_rows
-            if slice_seconds > gate_seconds:
-                gate_seconds = slice_seconds
-                gate_rows = rows
-            energy += report.energy_joules * rows / total_rows
-        return StepCost(
-            seconds=gate_seconds, cycles=None, energy_joules=energy, gate_rows=gate_rows
-        )
-
     def step_burst(
         self,
         slices: "list[tuple[AttentionRequest, int, int]]",
@@ -1113,19 +962,21 @@ class _GPUBackendBase(AttentionBackend):
     ) -> StepBurst:
         """Closed-form GPU burst off the residents' per-row rates.
 
-        Every iteration before the last advances ``iteration_rows`` rows per
-        resident at its memoised per-row rate, so mid-burst iterations are
+        Each slice is priced at its request's per-row rate (the memoised
+        full-shape :meth:`run_batch` report divided by its total rows, so a
+        solo request's slices sum exactly to its one-shot report — launch
+        cost included, hence ``primed`` carries no extra fill here).  A
+        whole-model forward's report batches its ``L x H`` per-layer
+        instances into one kernel stream at the model's seq_len.  An
+        iteration lasts as long as its slowest slice; energy tracks the work
+        of every slice.  Every iteration before the last advances
+        ``iteration_rows`` rows per resident, so mid-burst iterations are
         literally identical — priced once and broadcast.  Rates are
-        non-positional (a forward's report already folds all its layers), so
-        forwards vectorize here too.
+        non-positional, so forwards and decodes vectorize here too.
         """
         del primed  # launch cost is embedded in the per-shape rate
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
+        iterations = _burst_iterations(slices, iteration_rows)
         remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
-        if int(remaining.min()) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
-        iterations = -(-int(remaining.min()) // iteration_rows)
         reports = [
             self._shape_report(request.seq_len, self._report_items(request))
             for request, _, _ in slices
@@ -1135,10 +986,11 @@ class _GPUBackendBase(AttentionBackend):
         totals = np.array([self._rate_rows(request) for request, _, _ in slices], dtype=np.int64)
 
         def price(rows):
-            # Reference op order per slice: multiply by rows, then divide.
+            # Per-slice op order: multiply by rows, then divide.
             slice_seconds = rate_seconds * rows / totals
             gate = int(np.argmax(slice_seconds))
-            # The reference sums slice energies sequentially from 0.0.
+            # Slice energies sum sequentially from 0.0 (cumsum adds left to
+            # right, never pairwise).
             energy = float(np.cumsum(rate_energy * rows / totals)[-1])
             return float(slice_seconds[gate]), gate, energy
 
@@ -1268,7 +1120,7 @@ class DenseFPGABackend(AttentionBackend):
         new tokens each attend the full context but compute only their own
         query row, so its cycles are the full-context forward's scaled to
         ``new_tokens / seq_len`` (rounded up to keep the clock integral) —
-        one total every pricing path (step, burst, drain) shares.
+        one total both pricing paths (burst and drain) share.
         """
         key = (request.seq_len, request.num_heads)
         if key not in self._step_cycles:
@@ -1281,58 +1133,28 @@ class DenseFPGABackend(AttentionBackend):
         layers = request.num_layers if isinstance(request, ForwardRequest) else 1
         return layers * self._step_cycles[key]
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the dense baseline: per-row rate off its report.
-
-        Dense attention has no streaming fill to amortise, so ``primed`` is
-        ignored; each slice is priced as its row share of the memoised
-        full-shape report and the iteration is gated by the slowest slice.
-        """
-        del primed
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        gate_seconds = 0.0
-        gate_rows = 0
-        for request, _rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            total_rows = self.request_rows(request)
-            slice_seconds = (
-                self._request_cycles(request) * self.config.clock_period_s * rows / total_rows
-            )
-            if slice_seconds > gate_seconds:
-                gate_seconds = slice_seconds
-                gate_rows = rows
-        return StepCost(
-            seconds=gate_seconds,
-            cycles=None,
-            energy_joules=self.power_model.total_power_w * gate_seconds,
-            gate_rows=gate_rows,
-        )
-
     def step_burst(
         self,
         slices: "list[tuple[AttentionRequest, int, int]]",
         primed: bool,
         iteration_rows: int,
     ) -> StepBurst:
-        """Closed-form dense-baseline burst (per-row rates, no fill state)."""
+        """Closed-form dense-baseline burst: per-row rates off its report.
+
+        Dense attention has no streaming fill to amortise, so ``primed`` is
+        ignored; each slice is priced as its row share of the memoised
+        full-shape report and each iteration is gated by its slowest slice.
+        """
         del primed
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
+        iterations = _burst_iterations(slices, iteration_rows)
         remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
-        if int(remaining.min()) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
-        iterations = -(-int(remaining.min()) // iteration_rows)
         base_cycles = np.array(
             [self._request_cycles(request) for request, _, _ in slices], dtype=np.int64
         )
         totals = np.array([self.request_rows(request) for request, _, _ in slices], dtype=np.int64)
 
         def price(rows):
-            # Reference op order: (cycles * period) * rows, then divide.
+            # Op order: (cycles * period) * rows, then divide.
             slice_seconds = base_cycles * self.config.clock_period_s * rows / totals
             gate = int(np.argmax(slice_seconds))
             return float(slice_seconds[gate]), gate

@@ -158,6 +158,19 @@ class PlanCache:
                 self.evictions += 1
         return entry
 
+    def check_bus(self, bus) -> None:
+        """Reject serving a run on an active ``bus`` this cache does not publish on.
+
+        The run's stats count this cache's hits and misses, but its lookup
+        events would land on another bus (or none), so the run's event log
+        could not reproduce the counters and strict replay would fail.
+        """
+        if bus.active and self._bus is not bus:
+            raise ValueError(
+                "plan_cache publishes its lookups on another bus than the run's, so the "
+                "event log would miss them; pass PlanCache(bus=bus) or omit plan_cache"
+            )
+
     def clear(self) -> None:
         """Drop all entries (counters are preserved)."""
         with self._lock:

@@ -15,17 +15,17 @@ the stacked batch axis (the ``G`` axis a :class:`~repro.core.plan.PlanBatch`
 executes in one pass), so an iteration advances every resident by a row
 slice of up to ``iteration_rows`` rows *in lockstep* and lasts as long as its
 largest (gating) slice.  Pricing is the backend's
-:meth:`~repro.serving.backends.AttentionBackend.step`: on the SWAT pipeline a
-cold iteration pays the fill (``depth + (rows - 1) * II``) and a primed one
+:meth:`~repro.serving.backends.AttentionBackend.step_burst`, which prices
+every iteration up to the next retirement in one call: on the SWAT pipeline
+a cold iteration pays the fill (``depth + (rows - 1) * II``) and a primed one
 streams at ``rows * II``, so the per-iteration cycles of a busy period sum
 bit-exactly to what
 :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` charges
 for the same gating rows streamed as one drained batch — partial fills are
 charged to the timing model honestly, never once per drain.
 
-Since the one-clock unification the drain engine prices its dispatches
-through the *same* primitive (a drained dispatch is one cold stream,
-``_stream_cycles(total_rows, primed=False)``), so drain-vs-continuous
+The drain engine prices a SWAT dispatch as one cold stream of the same
+pipeline model (``cycles_for_rows(total_rows)``), so drain-vs-continuous
 numbers compare scheduling policies on one device model.
 
 Schedulers
@@ -47,8 +47,8 @@ Two scheduler implementations produce bit-identical results
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
-    device iteration.  The executable specification the property tests pin
-    the event scheduler against.
+    device iteration, each priced as a one-iteration burst.  The executable
+    specification the property tests pin the event scheduler against.
 
 Clock
 -----
@@ -510,9 +510,9 @@ def serve_continuous(
     The deterministic simulated-clock engine: shards advance event-driven
     (the one with the earliest activation instant runs next), each iteration
     admits arrived requests under the ``admission`` policy, prices the
-    backend's :meth:`~repro.serving.backends.AttentionBackend.step` clock,
-    advances every resident's slice and retires finished requests — whose
-    functional outputs are computed right there through the backend's
+    backend's :meth:`~repro.serving.backends.AttentionBackend.step_burst`
+    clock, advances every resident's slice and retires finished requests —
+    whose functional outputs are computed right there through the backend's
     stacked pass.  Whole-model
     :class:`~repro.serving.request.ForwardRequest`\\ s ride the same clock:
     their slices advance along the compiled model's row axis
@@ -528,7 +528,8 @@ def serve_continuous(
     ``scheduler`` selects the implementation: ``"event"`` (default) skips
     ahead between scheduling events and prices whole iteration bursts with
     one vectorized :meth:`~repro.serving.backends.AttentionBackend.step_burst`
-    call; ``"reference"`` steps one Python loop per iteration.  Both produce
+    call; ``"reference"`` steps one Python loop per iteration, pricing each
+    as a one-iteration burst.  Both produce
     bit-identical results (stats, records, completions and telemetry) — the
     property tests pin them against each other.
 
@@ -539,7 +540,9 @@ def serve_continuous(
     :class:`ContinuousBatcher`).  ``backends`` reuses one
     already-constructed backend instance per shard (they should share
     ``plan_cache`` for the cache counters to mean anything); by default one
-    is created per shard.  ``bus`` (an
+    is created per shard.  An explicit ``plan_cache`` must publish on
+    ``bus`` when the bus is active (``ValueError`` otherwise), or the log
+    would miss the lookups the stats count.  ``bus`` (an
     :class:`~repro.telemetry.bus.EventBus`) streams the run's lifecycle,
     iteration and occupancy events, all stamped with ``run_id`` (multi-run
     logs replay one run at a time); with no bus (or no sinks) every emission
@@ -560,6 +563,8 @@ def serve_continuous(
     bus = bus if bus is not None else NULL_BUS
     if plan_cache is None:
         plan_cache = PlanCache(bus=bus, run_id=run_id) if bus.active else PlanCache()
+    else:
+        plan_cache.check_bus(bus)
     start_wall = time.perf_counter()
     cache_before = plan_cache.counters()
     if backends is not None:
@@ -674,8 +679,11 @@ def _reference_loop(state: _RunState) -> None:
     The executable specification of the continuous engine — the event
     scheduler below must reproduce its every accounting bit.  Each loop
     iteration picks the earliest-activating shard by linear scan, admits,
-    prices one :meth:`~repro.serving.backends.AttentionBackend.step`,
-    advances residents and retires the finished.
+    prices one iteration, advances residents and retires the finished.  The
+    iteration is a one-iteration
+    :meth:`~repro.serving.backends.AttentionBackend.step_burst`: every slice
+    holds at most ``iteration_rows`` rows, so the burst ends after its first
+    iteration.
     """
     batcher = state.batcher
     bus = state.bus
@@ -694,16 +702,21 @@ def _reference_loop(state: _RunState) -> None:
         if bus.active and admitted:
             _emit_admissions(state, shard, admitted, batcher.waiting_count, clock.now)
         slices = batcher.slices(shard, state.iteration_rows)
-        cost = state.shards[shard].step(
+        burst = state.shards[shard].step_burst(
             [(inflight.request, inflight.rows_done, rows) for inflight, rows in slices],
             state.primed[shard],
+            state.iteration_rows,
         )
+        seconds = float(burst.seconds[0])
+        energy = float(burst.energy_joules[0])
+        gate_rows = int(burst.gate_rows[0])
+        cycles = int(burst.cycles[0]) if burst.cycles is not None else None
         start = clock.now
-        clock.advance(cost.seconds)
-        state.total_energy += cost.energy_joules
+        clock.advance(seconds)
+        state.total_energy += energy
         for inflight, rows in slices:
             inflight.rows_done += rows
-            inflight.device_seconds += cost.seconds
+            inflight.device_seconds += seconds
             if inflight.token_boundaries is not None:
                 _mark_blocks(inflight, clock.now)
         retired = batcher.retire_finished(shard, clock.now)
@@ -724,10 +737,10 @@ def _reference_loop(state: _RunState) -> None:
                     index=index,
                     shard=shard,
                     start_seconds=start,
-                    seconds=cost.seconds,
-                    cycles=cost.cycles,
-                    energy_joules=cost.energy_joules,
-                    gate_rows=cost.gate_rows,
+                    seconds=seconds,
+                    cycles=cycles,
+                    energy_joules=energy,
+                    gate_rows=gate_rows,
                     primed=was_primed,
                     resident=tuple(
                         (inflight.request.request_id, rows) for inflight, rows in slices
@@ -743,10 +756,10 @@ def _reference_loop(state: _RunState) -> None:
                     index=index,
                     shard=shard,
                     start_seconds=start,
-                    seconds=cost.seconds,
-                    cycles=cost.cycles,
-                    energy_joules=cost.energy_joules,
-                    gate_rows=cost.gate_rows,
+                    seconds=seconds,
+                    cycles=cycles,
+                    energy_joules=energy,
+                    gate_rows=gate_rows,
                     primed=was_primed,
                     num_resident=len(slices),
                     occupancy=occupancy,
@@ -1263,9 +1276,9 @@ def compare_modes(
 ) -> ScenarioComparison:
     """Run one arrival trace under both admission policies, same clock.
 
-    Both runs price iterations with the identical backend ``step`` model, so
-    the reported :attr:`ScenarioComparison.speedup` isolates what mid-flight
-    admission/retirement buys over static drain batching.  Each policy gets
+    Both runs price iterations with the identical backend ``step_burst``
+    model, so the reported :attr:`ScenarioComparison.speedup` isolates what
+    mid-flight admission/retirement buys over static drain batching.  Each policy gets
     its own :class:`~repro.serving.cache.PlanCache` so cache counters stay
     comparable.  ``bus`` instruments **both** runs into one multi-run log:
     the continuous run's events carry ``run_id=0`` and the drain run's

@@ -180,6 +180,7 @@ class ServingEngine:
         pacing entirely and keep submission order untouched.
         """
         bus = self.bus
+        self.plan_cache.check_bus(bus)
         start_wall = time.perf_counter()
         cache_before = self.plan_cache.counters()
 

@@ -5,8 +5,8 @@ stats of a *finished* run, :class:`MetricsAggregator` answers "how is the
 run going right now": rolling throughput, windowed latency/queue-wait
 percentiles (through the engine's own nearest-rank
 :func:`repro.serving.stats.percentile`), instantaneous queue depth and
-per-shard slot occupancy.  It is the model behind both ``repro-trace watch``
-renderings (textual and plain-ANSI) and ``repro-trace summarize``.
+per-shard slot occupancy.  It is the model behind the ``repro-trace watch``
+console and ``repro-trace summarize``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,10 @@
 """Live serving console: tail an event log and render rolling metrics.
 
-Two renderers over one :class:`~repro.telemetry.aggregate.MetricsAggregator`:
-
-- a ``textual`` app (when the optional dependency is importable) showing the
-  metrics in a ``DataTable`` — zebra-striped, row cursor — refreshed on a
-  timer while a background thread tails the log;
-- a plain-ANSI fallback that re-renders the aggregator's table in place
-  using cursor-home escape codes, so ``repro-trace watch`` works on any
-  terminal with no dependencies beyond the standard library.
-
-``textual`` is never imported at module import time: the serving layer must
-stay usable (and the test suite green) in environments without it.
+A plain-ANSI renderer over one
+:class:`~repro.telemetry.aggregate.MetricsAggregator`: it re-renders the
+aggregator's table in place using cursor-home escape codes, so
+``repro-trace watch`` works on any terminal with no dependencies beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -21,19 +15,10 @@ import time
 from repro.telemetry.aggregate import MetricsAggregator
 from repro.telemetry.log import EventLogReader
 
-__all__ = ["textual_available", "render_once", "watch"]
+__all__ = ["render_once", "watch"]
 
 #: Clear screen + home the cursor (the plain-ANSI in-place refresh).
 _ANSI_HOME = "\x1b[H\x1b[2J"
-
-
-def textual_available() -> bool:
-    """True when the optional ``textual`` dependency is importable."""
-    try:
-        import textual  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def render_once(path, window: int = 256) -> str:
@@ -43,21 +28,25 @@ def render_once(path, window: int = 256) -> str:
     return aggregator.to_table(title=f"Live serving metrics ({path})").render()
 
 
-def _watch_plain(path, interval: float, follow: bool, stream) -> int:
-    """Plain-ANSI loop: re-render the metrics table after each batch of events."""
+def watch(path, interval: float = 0.5, follow: bool = True, stream=None) -> int:
+    """Watch an event log live.  Returns a process exit code.
+
+    Re-renders the metrics table in place after each batch of events until
+    the run finishes; ``follow=False`` renders one snapshot of the current
+    log contents and exits (the mode CI smoke tests use).
+    """
+    stream = stream if stream is not None else sys.stdout
     aggregator = MetricsAggregator()
     reader = EventLogReader(path)
 
-    def render() -> None:
+    def render(prefix: str = _ANSI_HOME) -> None:
         table = aggregator.to_table(title=f"Live serving metrics ({path})")
-        stream.write(_ANSI_HOME + table.render() + "\n")
+        stream.write(prefix + table.render() + "\n")
         stream.flush()
 
     if not follow:
         aggregator.feed_all(reader)
-        table = aggregator.to_table(title=f"Live serving metrics ({path})")
-        stream.write(table.render() + "\n")
-        stream.flush()
+        render(prefix="")
         return 0
 
     last_render = 0.0
@@ -72,76 +61,3 @@ def _watch_plain(path, interval: float, follow: bool, stream) -> int:
         pass
     render()
     return 0
-
-
-def _watch_textual(path, interval: float) -> int:
-    """Textual app: metrics in a DataTable, log tailed by a worker thread."""
-    import threading
-
-    from textual.app import App, ComposeResult
-    from textual.widgets import DataTable, Footer, Header
-
-    class ServingConsole(App):
-        """Rolling serving metrics from one event log."""
-
-        TITLE = "repro-trace watch"
-        BINDINGS = [("q", "quit", "Quit")]
-
-        def __init__(self) -> None:
-            super().__init__()
-            self.aggregator = MetricsAggregator()
-            self._lock = threading.Lock()
-            self._stop = False
-
-        def compose(self) -> ComposeResult:
-            yield Header(show_clock=True)
-            table = DataTable(id="metrics", zebra_stripes=True)
-            table.cursor_type = "row"
-            yield table
-            yield Footer()
-
-        def on_mount(self) -> None:
-            table = self.query_one("#metrics", DataTable)
-            table.add_columns("metric", "value")
-            threading.Thread(target=self._tail, daemon=True).start()
-            self.set_interval(interval, self._refresh)
-
-        def _tail(self) -> None:
-            for event in EventLogReader(path).tail(
-                poll_interval=interval, stop=lambda: self._stop or self.aggregator.finished
-            ):
-                with self._lock:
-                    self.aggregator.feed(event)
-
-        def _refresh(self) -> None:
-            with self._lock:
-                snapshot = self.aggregator.snapshot()
-            table = self.query_one("#metrics", DataTable)
-            table.clear()
-            for metric, value in snapshot.items():
-                table.add_row(metric, f"{value:.4g}" if isinstance(value, float) else str(value))
-
-        def on_unmount(self) -> None:
-            self._stop = True
-
-    ServingConsole().run()
-    return 0
-
-
-def watch(
-    path,
-    interval: float = 0.5,
-    follow: bool = True,
-    plain: bool = False,
-    stream=None,
-) -> int:
-    """Watch an event log live.  Returns a process exit code.
-
-    Prefers the textual UI when available; ``plain=True`` forces the ANSI
-    fallback and ``follow=False`` renders one snapshot of the current log
-    contents and exits (the mode CI smoke tests use).
-    """
-    stream = stream if stream is not None else sys.stdout
-    if follow and not plain and textual_available():
-        return _watch_textual(path, interval)
-    return _watch_plain(path, interval, follow, stream)

@@ -15,15 +15,15 @@ Subcommands over the JSONL logs ``repro-serve --events PATH`` writes:
     run as 1).
 
 ``watch``
-    Live console over a (possibly still growing) log: a textual DataTable
-    when the optional dependency is present, a plain-ANSI table otherwise.
-    ``--once`` renders the current contents and exits.
+    Live console over a (possibly still growing) log: a plain-ANSI metrics
+    table re-rendered in place.  ``--once`` renders the current contents
+    and exits.
 
 .. code-block:: console
 
     $ repro-serve --mode continuous --requests 64 --events run.jsonl
     $ repro-trace replay run.jsonl --strict
-    $ repro-trace watch run.jsonl --once --plain
+    $ repro-trace watch run.jsonl --once
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     watcher = commands.add_parser("watch", help="live metrics console over a log")
     watcher.add_argument("path", help="event log to tail")
     watcher.add_argument("--interval", type=float, default=0.5, help="refresh seconds")
-    watcher.add_argument(
-        "--plain", action="store_true", help="force the ANSI renderer (skip textual)"
-    )
     watcher.add_argument(
         "--once", action="store_true", help="render the current log once and exit"
     )
@@ -125,7 +122,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    return watch(args.path, interval=args.interval, follow=not args.once, plain=args.plain)
+    return watch(args.path, interval=args.interval, follow=not args.once)
 
 
 def main(argv: "list[str] | None" = None) -> int:

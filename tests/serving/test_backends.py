@@ -11,6 +11,7 @@ from repro.serving.backends import (
     REGISTRY,
     AttentionBackend,
     BackendRegistry,
+    StepBurst,
     available_backends,
     create_backend,
     swat_batch_cycles,
@@ -184,13 +185,99 @@ class TestAnalyticalOnlyBackends:
         assert result.cycles > 0
 
 
-class TestStepBurst:
-    """Vectorized burst pricing is bit-identical to the looped ``step`` default.
+def _swat_iteration(backend, slices, primed):
+    """One SWAT iteration, scalar: gated by the slice of largest cycles."""
+    cycles = 0
+    gate_rows = 0
+    for request, rows_done, rows in slices:
+        plan = backend._positional_plan(request)
+        if plan is not None:
+            slice_cycles = plan.span_cycles(rows_done, rows_done + rows, primed)
+        elif primed:
+            slice_cycles = rows * backend.simulator.pipeline.initiation_interval
+        else:
+            slice_cycles = backend.simulator.pipeline.cycles_for_rows(rows)
+        if slice_cycles > cycles:
+            cycles = slice_cycles
+            gate_rows = rows
+    seconds = cycles * backend.config.clock_period_s
+    return seconds, cycles, backend.simulator.power_model.total_power_w * seconds, gate_rows
 
-    ``AttentionBackend.step_burst`` loops :meth:`step` per iteration — the
-    definitionally correct pricing.  Every backend override must reproduce
-    its arrays entry for entry, bit-exactly, or the event-driven scheduler
-    would drift from the quantum-stepped reference.
+
+def _gpu_iteration(backend, slices, primed):
+    """One GPU iteration, scalar: per-row rates off the memoised shape reports."""
+    gate_seconds = 0.0
+    gate_rows = 0
+    energy = 0.0
+    for request, _rows_done, rows in slices:
+        report = backend._shape_report(request.seq_len, backend._report_items(request))
+        total_rows = backend._rate_rows(request)
+        slice_seconds = report.seconds * rows / total_rows
+        if slice_seconds > gate_seconds:
+            gate_seconds = slice_seconds
+            gate_rows = rows
+        energy += report.energy_joules * rows / total_rows
+    return gate_seconds, None, energy, gate_rows
+
+
+def _dense_fpga_iteration(backend, slices, primed):
+    """One dense-FPGA iteration, scalar: row share of the request's cycles."""
+    gate_seconds = 0.0
+    gate_rows = 0
+    for request, _rows_done, rows in slices:
+        total_rows = backend.request_rows(request)
+        slice_seconds = (
+            backend._request_cycles(request) * backend.config.clock_period_s * rows / total_rows
+        )
+        if slice_seconds > gate_seconds:
+            gate_seconds = slice_seconds
+            gate_rows = rows
+    return gate_seconds, None, backend.power_model.total_power_w * gate_seconds, gate_rows
+
+
+_SCALAR_ITERATION = {
+    "simulator": _swat_iteration,
+    "analytical": _swat_iteration,
+    "gpu-dense": _gpu_iteration,
+    "gpu-chunked": _gpu_iteration,
+    "dense-fpga": _dense_fpga_iteration,
+}
+
+
+def _looped_burst(backend, slices, primed, iteration_rows):
+    """The scalar oracle of ``step_burst``: one Python iteration at a time.
+
+    Derives each iteration's ``(request, rows_done, rows)`` slices from the
+    residents' remaining rows and prices them with the backend family's
+    scalar formula, primed after the first iteration.
+    """
+    iteration = _SCALAR_ITERATION[backend.name]
+    iterations = -(-min(rows_left for _, _, rows_left in slices) // iteration_rows)
+    prices = []
+    for index in range(iterations):
+        advanced = index * iteration_rows
+        iteration_slices = [
+            (request, rows_done + advanced, min(iteration_rows, rows_left - advanced))
+            for request, rows_done, rows_left in slices
+        ]
+        prices.append(iteration(backend, iteration_slices, primed if index == 0 else True))
+    seconds, cycles, energy, gate_rows = zip(*prices)
+    return StepBurst(
+        seconds=np.array(seconds),
+        cycles=None if cycles[0] is None else np.array(cycles, dtype=np.int64),
+        energy_joules=np.array(energy),
+        gate_rows=np.array(gate_rows, dtype=np.int64),
+        iterations=iterations,
+    )
+
+
+class TestStepBurst:
+    """Closed-form burst pricing is bit-identical to the scalar oracle.
+
+    :func:`_looped_burst` prices one iteration at a time with each backend
+    family's scalar formula — the definitionally correct pricing.  Every
+    backend's ``step_burst`` must reproduce its arrays entry for entry,
+    bit-exactly.
     """
 
     CONTINUOUS_BACKENDS = [
@@ -226,7 +313,7 @@ class TestStepBurst:
             for request, rows_done in zip(requests, (0, 16, 5))
         ]
         vectorized = backend.step_burst(slices, primed, iteration_rows)
-        looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+        looped = _looped_burst(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)
 
     @staticmethod
@@ -251,31 +338,13 @@ class TestStepBurst:
     @pytest.mark.parametrize("primed", [False, True])
     @pytest.mark.parametrize("iteration_rows", [1, 7, 16, 1000])
     def test_mixed_kind_burst_matches_looped_default(self, name, primed, iteration_rows):
-        """Forward and decode slices are priced closed-form, bit-exactly.
-
-        PR 7 left these slices falling back to the looped ``step`` default;
-        the burst path now covers every request kind with no fallback.
-        """
+        """Forward and decode slices are priced closed-form, bit-exactly."""
         config = _config()
         backend = create_backend(name, config=config, plan_cache=PlanCache())
         slices = self._mixed_slices(backend, config)
         vectorized = backend.step_burst(slices, primed, iteration_rows)
-        looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+        looped = _looped_burst(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)
-
-    @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
-    def test_mixed_kind_burst_never_loops_step(self, name, monkeypatch):
-        """No backend falls back to per-iteration ``step`` calls for any kind."""
-        config = _config()
-        backend = create_backend(name, config=config, plan_cache=PlanCache())
-        slices = self._mixed_slices(backend, config)
-
-        def _no_step(*args, **kwargs):  # pragma: no cover - the assertion
-            raise AssertionError("step_burst fell back to a looped step()")
-
-        monkeypatch.setattr(backend, "step", _no_step)
-        burst = backend.step_burst(slices, False, 16)
-        assert burst.iterations == len(burst.seconds)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     def test_burst_validation(self, name):
@@ -284,3 +353,8 @@ class TestStepBurst:
             backend.step_burst([], False, 16)
         with pytest.raises(ValueError, match="remaining rows"):
             backend.step_burst([(AttentionRequest(seq_len=32), 32, 0)], True, 16)
+
+    def test_backend_without_modelled_clock_cannot_price_bursts(self):
+        backend = create_backend("fused", config=_config())
+        with pytest.raises(NotImplementedError, match="supports_continuous=False"):
+            backend.step_burst([(AttentionRequest(seq_len=32), 0, 32)], False, 16)

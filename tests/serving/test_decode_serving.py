@@ -194,14 +194,14 @@ def _mixed_trace(config, functional, count=12, seed=7):
     return requests
 
 
-def _run(requests, backend, scheduler, policy="sjf", bus=None):
+def _run(requests, backend, scheduler, policy="sjf", bus=None, iteration_rows=96):
     return serve_continuous(
         requests,
         config=_config(),
         backend=backend,
         num_shards=2,
         max_batch_size=4,
-        iteration_rows=96,
+        iteration_rows=iteration_rows,
         policy=policy,
         scheduler=scheduler,
         plan_cache=PlanCache(bus=bus),
@@ -222,6 +222,25 @@ class TestMixedTraceSchedulerEquivalence:
             if spec.name == "wall_seconds":
                 continue
             assert getattr(event, spec.name) == getattr(reference, spec.name), spec.name
+
+    @pytest.mark.parametrize("iteration_rows", [5, 16])
+    @pytest.mark.parametrize("backend", CONTINUOUS_BACKENDS)
+    def test_small_quanta_iterations_bit_identical(self, backend, iteration_rows):
+        # Small quanta split every request into many iterations, so the
+        # reference loop's one-iteration bursts cross the cold/primed edge
+        # over and over; each record must equal the event scheduler's.
+        functional = backend == "simulator"
+        requests = _mixed_trace(_config(), functional)
+        event = _run(requests, backend, "event", iteration_rows=iteration_rows)
+        reference = _run(requests, backend, "reference", iteration_rows=iteration_rows)
+        assert len(reference.iterations) > len(requests)
+        assert event.iterations == reference.iterations
+        for spec in fields(event.stats):
+            if spec.name == "wall_seconds":
+                continue
+            assert getattr(event.stats, spec.name) == getattr(
+                reference.stats, spec.name
+            ), spec.name
 
     def test_telemetry_bit_identical(self):
         requests = _mixed_trace(_config(), functional=False)

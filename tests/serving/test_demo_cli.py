@@ -145,7 +145,7 @@ class TestEventLogCli:
     def test_trace_watch_once_plain(self, tmp_path, capsys):
         path = self._serve_with_events(tmp_path, extra=["--mode", "continuous"])
         capsys.readouterr()
-        assert trace_main(["watch", str(path), "--once", "--plain"]) == 0
+        assert trace_main(["watch", str(path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "rolling req/s" in out
         assert "finished" in out

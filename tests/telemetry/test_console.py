@@ -7,7 +7,7 @@ from repro.core.config import SWATConfig
 from repro.serving.continuous import serve_continuous
 from repro.serving.request import make_requests
 from repro.telemetry import EventBus, EventLogWriter
-from repro.telemetry.console import _ANSI_HOME, render_once, textual_available, watch
+from repro.telemetry.console import _ANSI_HOME, render_once, watch
 from repro.telemetry.events import QueueDepth, RunFinished
 
 
@@ -22,12 +22,6 @@ def _write_run_log(tmp_path):
     return path
 
 
-def test_textual_availability_probe_is_a_bool():
-    # The container intentionally lacks textual; either answer must be a
-    # clean bool, and False must not raise (the fallback path depends on it).
-    assert isinstance(textual_available(), bool)
-
-
 def test_render_once_returns_a_table(tmp_path):
     path = _write_run_log(tmp_path)
     rendered = render_once(path)
@@ -39,7 +33,7 @@ def test_render_once_returns_a_table(tmp_path):
 def test_watch_once_writes_snapshot_without_ansi(tmp_path):
     path = _write_run_log(tmp_path)
     stream = io.StringIO()
-    assert watch(path, follow=False, plain=True, stream=stream) == 0
+    assert watch(path, follow=False, stream=stream) == 0
     output = stream.getvalue()
     assert "rolling req/s" in output
     assert _ANSI_HOME not in output
@@ -53,7 +47,7 @@ def test_watch_follow_plain_stops_on_run_finished(tmp_path):
     result = {}
 
     def run_watch():
-        result["code"] = watch(path, interval=0.01, plain=True, stream=stream)
+        result["code"] = watch(path, interval=0.01, stream=stream)
 
     thread = threading.Thread(target=run_watch)
     thread.start()

@@ -247,3 +247,36 @@ class TestReplayerEdges:
         )
         writer.close()
         assert replay_stats(path).wall_seconds == result.stats.wall_seconds > 0
+
+
+class TestPlanCacheOnAnotherBus:
+    """A cache that publishes elsewhere would leave its lookups out of the log."""
+
+    def test_serve_continuous_rejects_cache_off_the_bus(self, tmp_path):
+        config = _config()
+        requests = make_requests([24, 32], config.head_dim, functional=False)
+        _, bus, writer = _instrumented_log(tmp_path, "continuous.jsonl")
+        with pytest.raises(ValueError, match=r"PlanCache\(bus=bus\)"):
+            serve_continuous(
+                requests, config=config, backend="analytical", plan_cache=PlanCache(), bus=bus
+            )
+        writer.close()
+
+    def test_engine_serve_rejects_cache_off_the_bus(self, tmp_path):
+        config = _config()
+        requests = make_requests([24, 32], config.head_dim, functional=False)
+        _, bus, writer = _instrumented_log(tmp_path, "drain.jsonl")
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=1, plan_cache=PlanCache(), bus=bus
+        )
+        with pytest.raises(ValueError, match="omit plan_cache"):
+            engine.serve(requests)
+        writer.close()
+
+    def test_inactive_bus_accepts_any_cache(self):
+        config = _config()
+        requests = make_requests([24], config.head_dim, functional=False)
+        result = serve_continuous(
+            requests, config=config, backend="analytical", plan_cache=PlanCache(), bus=EventBus()
+        )
+        assert result.stats.num_requests == 1
