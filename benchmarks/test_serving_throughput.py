@@ -391,10 +391,10 @@ def test_event_scheduler_replays_100k_diurnal_trace_in_seconds(benchmark):
 def test_drain_mode_stays_bit_identical_under_continuous_refactor():
     """The other half of the acceptance criterion: the drain path is frozen.
 
-    The continuous engine rides beside the drain path, not through it: a
-    default-mode ``ServingEngine`` must produce the same outputs, the same
-    batch pricing (``batch_attention_cycles``) and an unchanged stats schema,
-    and continuous-mode outputs must match the drain outputs bit for bit.
+    The continuous engine rides beside the drain path, not through it: the
+    drain ``ServingEngine`` must produce the same outputs, the same batch
+    pricing (``batch_attention_cycles``) and an unchanged stats schema, and
+    ``serve_continuous`` outputs must match the drain outputs bit for bit.
     """
     config = SWATConfig(head_dim=64, window_tokens=8)
     requests = make_requests([16, 48, 16, 32, 48, 16, 32, 16], config.head_dim, seed=0)

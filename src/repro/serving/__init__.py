@@ -1,9 +1,10 @@
-"""Async multi-accelerator serving layer over the SWAT execution paths.
+"""Multi-accelerator serving layer over the SWAT execution paths.
 
 Turns the one-shot :class:`~repro.core.simulator.SWATSimulator` into a served
-system: a pluggable backend registry (:mod:`repro.serving.backends`), an async
-request queue with dynamic batching (:mod:`repro.serving.batcher`,
-:mod:`repro.serving.engine`), a per-shape plan/schedule cache
+system: a pluggable backend registry (:mod:`repro.serving.backends`), a drain
+engine with dynamic batching (:mod:`repro.serving.batcher`,
+:mod:`repro.serving.engine`), a continuous iteration-level scheduler
+(:mod:`repro.serving.continuous`), a per-shape plan/schedule cache
 (:mod:`repro.serving.cache`) and serving-level accounting
 (:mod:`repro.serving.stats`).  The ``repro-serve`` console script
 (:mod:`repro.serving.demo`) drives it from the shell.

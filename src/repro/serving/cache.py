@@ -5,7 +5,7 @@ the seeded random-table draws for BigBird-style configs).  A served system
 repeating the same shapes millions of times should pay it once:
 :class:`PlanCache` memoises ``(config fingerprint, seq_len) ->``
 :class:`CachedPlan` with an LRU bound, hit/miss/eviction counters and
-thread-safe lookup (shard workers may share one cache across threads).
+thread-safe lookup (callers may share one cache across threads).
 
 Since the plan-IR refactor the cache stores the compact compiled
 :class:`~repro.core.plan.ExecutionPlan` arrays — a few dense numpy matrices
@@ -158,17 +158,26 @@ class PlanCache:
                 self.evictions += 1
         return entry
 
-    def check_bus(self, bus) -> None:
-        """Reject serving a run on an active ``bus`` this cache does not publish on.
+    def check_bus(self, bus, run_id: int) -> None:
+        """Reject serving run ``run_id`` on an active ``bus`` this cache does not publish to.
 
         The run's stats count this cache's hits and misses, but its lookup
-        events would land on another bus (or none), so the run's event log
-        could not reproduce the counters and strict replay would fail.
+        events would land on another bus (or none), or carry another run's
+        ``run_id``, so the run's event log could not reproduce the counters
+        and strict replay would fail.
         """
-        if bus.active and self._bus is not bus:
+        if not bus.active:
+            return
+        if self._bus is not bus:
             raise ValueError(
                 "plan_cache publishes its lookups on another bus than the run's, so the "
                 "event log would miss them; pass PlanCache(bus=bus) or omit plan_cache"
+            )
+        if self._run_id != run_id:
+            raise ValueError(
+                f"plan_cache stamps its lookups with run_id {self._run_id}, not the run's "
+                f"{run_id}, so the run's replay would miss them; pass "
+                "PlanCache(bus=bus, run_id=run_id) or omit plan_cache"
             )
 
     def clear(self) -> None:

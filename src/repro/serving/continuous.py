@@ -564,7 +564,7 @@ def serve_continuous(
     if plan_cache is None:
         plan_cache = PlanCache(bus=bus, run_id=run_id) if bus.active else PlanCache()
     else:
-        plan_cache.check_bus(bus)
+        plan_cache.check_bus(bus, run_id)
     start_wall = time.perf_counter()
     cache_before = plan_cache.counters()
     if backends is not None:

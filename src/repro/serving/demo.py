@@ -72,6 +72,9 @@ from repro.serving.request import make_decode_request, make_forward_request, mak
 
 __all__ = ["build_parser", "main"]
 
+#: ``--mode`` choices: the drain engine or continuous iteration-level admission.
+SERVING_MODES = ("drain", "continuous")
+
 #: Sequence lengths cycled through when generating the demo request mix.
 DEFAULT_SEQ_LENS = (256, 256, 512, 512, 512, 1024)
 
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode",
         default="drain",
-        choices=ServingEngine.MODES,
+        choices=SERVING_MODES,
         help="dispatch mode: drain batches or continuous iteration-level "
         "admission (default: drain)",
     )

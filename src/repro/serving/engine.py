@@ -1,28 +1,30 @@
-"""Async serving engine: request queue, dynamic batcher and a shard pool.
+"""Drain serving engine: request queue, dynamic batcher and a shard pool.
 
 The engine turns the one-shot simulator into a served system.  Clients submit
 :class:`~repro.serving.request.AttentionRequest`\\ s; the
 :class:`~repro.serving.batcher.DynamicBatcher` groups compatible requests;
-full batches are dispatched to the least-loaded of ``num_shards`` accelerator
-instances, each a private :class:`~repro.serving.backends.AttentionBackend`
-draining its own queue.  A dispatched batch executes as stacked tensor
-programs — one :class:`~repro.core.plan.PlanBatch` pass per ``(config,
-seq_len)`` group, never a per-request executor loop — and all shards share
-one :class:`~repro.serving.cache.PlanCache`, so a schedule is built once per
+each released batch executes on the shard with the fewest assigned rows, one
+of ``num_shards`` private :class:`~repro.serving.backends.AttentionBackend`
+instances.  A dispatched batch executes as stacked tensor programs — one
+:class:`~repro.core.plan.PlanBatch` pass per ``(config, seq_len)`` group,
+never a per-request executor loop — and all shards share one
+:class:`~repro.serving.cache.PlanCache`, so a schedule is built once per
 shape for the whole pool.
 
-Two clocks are kept: the *device* clock (modelled accelerator busy time per
-shard — shards run in parallel, so the pool finishes at the busiest shard's
-makespan) and the *wall* clock (measured host time; batch execution runs in
-worker threads via ``asyncio.to_thread`` so shards genuinely overlap).
+:meth:`ServingEngine.serve` is one synchronous drain loop.  Two clocks are
+kept: the *device* clock (modelled accelerator busy time per shard — shards
+are modelled as parallel devices, so the pool finishes at the busiest
+shard's makespan) and the *wall* clock (measured host time, in which the
+loop executes batches one after another).  On the wall clock a request's
+arrival stamp is its own ``arrival_time`` — the paced instant, or 0 for an
+unpaced closed batch — its admit stamp is when its batch is dispatched and
+its finish stamp is when that batch's execution returns, so a paced request
+that arrives while an earlier batch executes counts the wait as queueing.
 
-This drain path is one of two dispatch modes: ``ServingEngine(mode=
-"continuous")`` routes :meth:`ServingEngine.serve` to the iteration-level
-scheduler of :mod:`repro.serving.continuous`, which admits and retires
-requests between pipeline iterations on a deterministic simulated clock.
-The drain path is untouched by that mode and stays bit-identical.
+Continuous, iteration-level batching on a simulated clock is
+:func:`repro.serving.continuous.serve_continuous`.
 
-Both modes accept mixed request kinds in one trace: single attentions,
+The engine accepts mixed request kinds in one trace: single attentions,
 whole-model prefills (:class:`~repro.serving.request.ForwardRequest`) and
 autoregressive decodes (:class:`~repro.serving.request.DecodeRequest`, whose
 steps cover only the newly finalized rows against a resident K/V cache) are
@@ -31,7 +33,6 @@ batched, priced and retired through the same queue and the same clock.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
 
@@ -58,8 +59,8 @@ __all__ = ["ServingResult", "ServingEngine"]
 class ServingResult:
     """Everything one serving run produced.
 
-    Drain-mode runs fill ``batches`` (one record per dispatched batch);
-    continuous-mode runs fill ``iterations`` instead (one
+    Drain runs fill ``batches`` (one record per dispatched batch);
+    continuous runs fill ``iterations`` instead (one
     :class:`~repro.serving.continuous.IterationRecord` per priced pipeline
     iteration).
     """
@@ -85,9 +86,6 @@ class ServingResult:
 class ServingEngine:
     """Serves attention requests over a pool of sharded accelerator backends."""
 
-    #: Dispatch modes :meth:`serve` understands.
-    MODES = ("drain", "continuous")
-
     def __init__(
         self,
         config: "SWATConfig | None" = None,
@@ -95,16 +93,11 @@ class ServingEngine:
         num_shards: int = 2,
         max_batch_size: int = 8,
         plan_cache: "PlanCache | None" = None,
-        mode: str = "drain",
-        iteration_rows: "int | None" = None,
-        policy: str = "fcfs",
         bus=None,
         run_id: int = 0,
     ):
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.config = config if config is not None else SWATConfig()
         self.backend_name = backend
         self.num_shards = num_shards
@@ -119,75 +112,30 @@ class ServingEngine:
             self.plan_cache = (
                 PlanCache(bus=bus, run_id=run_id) if bus is not None else PlanCache()
             )
-        self.mode = mode
-        self.iteration_rows = iteration_rows
-        self.policy = policy
         self.shards: "list[AttentionBackend]" = [
             create_backend(backend, config=self.config, plan_cache=self.plan_cache)
             for _ in range(num_shards)
         ]
 
-    # ------------------------------------------------------------------ #
-    # Synchronous convenience front-end
-    # ------------------------------------------------------------------ #
-
     def serve(self, requests: "list[AttentionRequest]") -> ServingResult:
         """Serve ``requests`` to completion and return outputs plus stats.
 
-        ``mode="drain"`` runs the async batch-drain pool below;
-        ``mode="continuous"`` runs the deterministic iteration-level
-        scheduler of :mod:`repro.serving.continuous` on the simulated clock
-        (request ``arrival_time``\\ s are honoured; everything defaults to
-        arriving at time 0).
-        """
-        if self.mode == "continuous":
-            # Imported lazily: repro.serving.continuous imports ServingResult
-            # from this module.
-            from repro.serving.continuous import DEFAULT_ITERATION_ROWS, serve_continuous
-
-            return serve_continuous(
-                requests,
-                config=self.config,
-                backend=self.backend_name,
-                num_shards=self.num_shards,
-                max_batch_size=self.max_batch_size,
-                iteration_rows=(
-                    self.iteration_rows
-                    if self.iteration_rows is not None
-                    else DEFAULT_ITERATION_ROWS
-                ),
-                admission="continuous",
-                policy=self.policy,
-                plan_cache=self.plan_cache,
-                backends=self.shards,
-                bus=self.bus,
-                run_id=self.run_id,
-            )
-        return asyncio.run(self.serve_async(requests))
-
-    # ------------------------------------------------------------------ #
-    # Async serving
-    # ------------------------------------------------------------------ #
-
-    async def serve_async(self, requests: "list[AttentionRequest]") -> ServingResult:
-        """Async entry point: submit every request, drain the pool, account.
-
         Requests stamped with a positive ``arrival_time`` are *paced*: the
-        engine sorts them by arrival instant and sleeps the wall clock up to
-        each one before submitting it, so a trace recorded on the simulated
-        continuous clock replays here in real time (events comparable log to
-        log).  All-zero arrival times — the historical drain contract — skip
-        pacing entirely and keep submission order untouched.
+        engine sorts them by ``(arrival_time, request_id)`` and sleeps the
+        wall clock up to each one before submitting it, so a trace recorded
+        on the simulated continuous clock replays here in real time (events
+        comparable log to log).  All-zero arrival times — the closed-batch
+        drain contract — skip pacing entirely and keep submission order.
         """
         bus = self.bus
-        self.plan_cache.check_bus(bus)
+        run_id = self.run_id
+        self.plan_cache.check_bus(bus, run_id)
         start_wall = time.perf_counter()
         cache_before = self.plan_cache.counters()
 
         def elapsed() -> float:
             return time.perf_counter() - start_wall
 
-        run_id = self.run_id
         if bus.active:
             bus.emit(
                 RunStarted(
@@ -203,30 +151,46 @@ class ServingEngine:
         batcher = DynamicBatcher(
             self.config, max_batch_size=self.max_batch_size, bus=bus, clock=elapsed, run_id=run_id
         )
-        queues: "list[asyncio.Queue]" = [asyncio.Queue() for _ in range(self.num_shards)]
         # Estimated rows already assigned per shard: the load-balancing signal
         # (device seconds are proportional to rows for a fixed config).
         assigned_rows = [0] * self.num_shards
         shard_busy = [0.0] * self.num_shards
         records: "list[BatchRecord]" = []
         completed: "list[CompletedRequest]" = []
-        # Wall-clock lifecycle stamps (seconds since start_wall) per request.
-        arrival_offset: "dict[int, float]" = {}
-        admit_offset: "dict[int, float]" = {}
 
-        async def worker(shard_index: int) -> None:
-            backend = self.shards[shard_index]
-            queue = queues[shard_index]
-            while True:
-                batch = await queue.get()
-                if batch is None:
-                    queue.task_done()
-                    return
-                result = await asyncio.to_thread(backend.execute_batch, batch.requests)
-                finish = elapsed()
-                shard_busy[shard_index] += result.device_seconds
-                records.append(
-                    BatchRecord(
+        def dispatch(batch: Batch) -> None:
+            shard_index = min(range(self.num_shards), key=lambda i: assigned_rows[i])
+            assigned_rows[shard_index] += batch.total_rows
+            admit = elapsed()
+            if bus.active:
+                for request in batch.requests:
+                    bus.emit(
+                        RequestAdmitted(
+                            request_id=request.request_id,
+                            shard=shard_index,
+                            admit_time=admit,
+                            residency=len(batch),
+                            run_id=run_id,
+                        )
+                    )
+            # Through the instance attribute, so a per-shard wrapper sees it.
+            result = self.shards[shard_index].execute_batch(batch.requests)
+            finish = elapsed()
+            shard_busy[shard_index] += result.device_seconds
+            records.append(
+                BatchRecord(
+                    batch_id=batch.batch_id,
+                    shard=shard_index,
+                    size=len(batch),
+                    total_rows=batch.total_rows,
+                    device_seconds=result.device_seconds,
+                    energy_joules=result.energy_joules,
+                    head_rows=result.head_rows,
+                )
+            )
+            if bus.active:
+                bus.emit(
+                    BatchDispatched(
                         batch_id=batch.batch_id,
                         shard=shard_index,
                         size=len(batch),
@@ -234,103 +198,60 @@ class ServingEngine:
                         device_seconds=result.device_seconds,
                         energy_joules=result.energy_joules,
                         head_rows=result.head_rows,
+                        run_id=run_id,
                     )
                 )
+            for request, output in zip(batch.requests, result.outputs):
+                done = CompletedRequest(
+                    request=request,
+                    output=output,
+                    shard=shard_index,
+                    batch_id=batch.batch_id,
+                    batch_size=len(batch),
+                    device_seconds=result.device_seconds,
+                    arrival_time=request.arrival_time,
+                    admit_time=admit,
+                    finish_time=finish,
+                )
+                completed.append(done)
                 if bus.active:
                     bus.emit(
-                        BatchDispatched(
-                            batch_id=batch.batch_id,
-                            shard=shard_index,
-                            size=len(batch),
-                            total_rows=batch.total_rows,
-                            device_seconds=result.device_seconds,
-                            energy_joules=result.energy_joules,
-                            head_rows=result.head_rows,
-                            run_id=run_id,
-                        )
-                    )
-                for request, output in zip(batch.requests, result.outputs):
-                    done = CompletedRequest(
-                        request=request,
-                        output=output,
-                        shard=shard_index,
-                        batch_id=batch.batch_id,
-                        batch_size=len(batch),
-                        device_seconds=result.device_seconds,
-                        arrival_time=arrival_offset.get(request.request_id, 0.0),
-                        admit_time=admit_offset.get(request.request_id, 0.0),
-                        finish_time=finish,
-                    )
-                    completed.append(done)
-                    if bus.active:
-                        bus.emit(
-                            RequestRetired(
-                                request_id=request.request_id,
-                                shard=shard_index,
-                                batch_id=batch.batch_id,
-                                batch_size=len(batch),
-                                device_seconds=result.device_seconds,
-                                arrival_time=done.arrival_time,
-                                admit_time=done.admit_time,
-                                finish_time=finish,
-                                run_id=run_id,
-                            )
-                        )
-                queue.task_done()
-
-        async def dispatch(batch: Batch) -> None:
-            shard_index = min(range(self.num_shards), key=lambda i: assigned_rows[i])
-            assigned_rows[shard_index] += batch.total_rows
-            now = elapsed()
-            for request in batch.requests:
-                admit_offset[request.request_id] = now
-                if bus.active:
-                    bus.emit(
-                        RequestAdmitted(
+                        RequestRetired(
                             request_id=request.request_id,
                             shard=shard_index,
-                            admit_time=now,
-                            residency=len(batch),
+                            batch_id=batch.batch_id,
+                            batch_size=len(batch),
+                            device_seconds=result.device_seconds,
+                            arrival_time=request.arrival_time,
+                            admit_time=admit,
+                            finish_time=finish,
                             run_id=run_id,
                         )
                     )
-            await queues[shard_index].put(batch)
 
         paced = any(request.arrival_time > 0 for request in requests)
         ordered = (
-            sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
-            if paced
-            else requests
+            sorted(requests, key=lambda r: (r.arrival_time, r.request_id)) if paced else requests
         )
-        workers = [asyncio.create_task(worker(index)) for index in range(self.num_shards)]
-        try:
-            for request in ordered:
-                if paced:
-                    delay = request.arrival_time - elapsed()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                arrival_offset[request.request_id] = elapsed()
-                if bus.active:
-                    bus.emit(
-                        RequestArrived(
-                            request_id=request.request_id,
-                            seq_len=request.seq_len,
-                            head_rows=request.head_rows,
-                            arrival_time=request.arrival_time,
-                            run_id=run_id,
-                        )
+        for request in ordered:
+            if paced:
+                while (delay := request.arrival_time - elapsed()) > 0:
+                    time.sleep(delay)
+            if bus.active:
+                bus.emit(
+                    RequestArrived(
+                        request_id=request.request_id,
+                        seq_len=request.seq_len,
+                        head_rows=request.head_rows,
+                        arrival_time=request.arrival_time,
+                        run_id=run_id,
                     )
-                full = batcher.add(request)
-                if full is not None:
-                    await dispatch(full)
-            for partial in batcher.flush():
-                await dispatch(partial)
-            for queue in queues:
-                await queue.put(None)
-            await asyncio.gather(*workers)
-        finally:
-            for task in workers:
-                task.cancel()
+                )
+            full = batcher.add(request)
+            if full is not None:
+                dispatch(full)
+        for partial in batcher.flush():
+            dispatch(partial)
 
         wall_seconds = time.perf_counter() - start_wall
         cache_after = self.plan_cache.counters()
@@ -344,7 +265,7 @@ class ServingEngine:
             num_batches=len(records),
             num_shards=self.num_shards,
             max_batch_size=self.max_batch_size,
-            device_makespan_seconds=max(shard_busy) if shard_busy else 0.0,
+            device_makespan_seconds=max(shard_busy),
             shard_busy_seconds=tuple(shard_busy),
             total_energy_joules=sum(record.energy_joules for record in records),
             wall_seconds=wall_seconds,
@@ -358,8 +279,6 @@ class ServingEngine:
         )
         if bus.active:
             bus.emit(RunFinished(wall_seconds=wall_seconds, stats=stats.to_dict(), run_id=run_id))
-        return ServingResult(
-            completed=completed,
-            stats=stats,
-            batches=tuple(sorted(records, key=lambda record: record.batch_id)),
-        )
+        # ``records`` is in batch-id order: the batcher numbers batches as it
+        # releases them.
+        return ServingResult(completed=completed, stats=stats, batches=tuple(records))

@@ -9,8 +9,7 @@ uninstrumented engine.
 A sink is any callable taking one :class:`~repro.telemetry.events.Event`
 (:class:`~repro.telemetry.log.EventLogWriter` is the canonical one); sinks
 run synchronously in emission order on the emitting thread, so a sink that
-must be thread-safe (the serving pool emits from worker threads) brings its
-own lock.
+may be fed from several threads brings its own lock.
 """
 
 from __future__ import annotations

@@ -78,7 +78,7 @@ class RunStarted(Event):
     """A serving run began.
 
     ``engine`` distinguishes the two execution engines — ``"drain"`` (the
-    asyncio batch-drain pool, wall-clock timestamps) and ``"continuous"``
+    synchronous batch-drain loop, wall-clock timestamps) and ``"continuous"``
     (the simulated-clock iteration scheduler) — which is what the replayer
     keys its aggregation shape on.  ``mode`` is the *admission policy* of a
     continuous-clock run (``"continuous"`` or ``"drain"``), matching

@@ -3,8 +3,7 @@
 One event per line, serialised by :func:`repro.telemetry.events.to_record`.
 The writer flushes after every line so a concurrently running
 ``repro-trace watch`` can tail the file live, and takes a lock around each
-write because the drain engine emits from shard worker threads (plan-cache
-lookups execute inside ``asyncio.to_thread``).
+write so that a bus emitting from several threads never interleaves lines.
 
 Floats round-trip bit-exactly through JSON (``json.dumps`` emits ``repr``,
 ``json.loads`` reads it back to the same IEEE-754 bits); numpy scalars that

@@ -101,9 +101,7 @@ class TestDrainPathEdgeCases:
         stragglers = batcher.flush()
         assert [len(batch) for batch in stragglers] == [2]
         served = [
-            request.request_id
-            for batch in batches + stragglers
-            for request in batch.requests
+            request.request_id for batch in batches + stragglers for request in batch.requests
         ]
         assert served == [request.request_id for request in requests]
 

@@ -24,6 +24,7 @@ from dataclasses import fields
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
 from repro.serving.backends import create_backend
+from repro.serving.cache import PlanCache
 from repro.serving.continuous import (
     SCHEDULERS,
     ContinuousBatcher,
@@ -409,35 +410,13 @@ class TestHeadOfLineBlocking:
 
 
 class TestEngineMode:
-    def test_engine_routes_continuous_mode(self):
-        config = _config()
-        requests = make_requests([16, 24, 16, 33], config.head_dim, seed=0)
-        engine = ServingEngine(
-            config=config,
-            backend="simulator",
-            num_shards=1,
-            max_batch_size=2,
-            mode="continuous",
-            iteration_rows=16,
-        )
-        result = engine.serve(requests)
-        assert result.stats.mode == "continuous"
-        assert result.stats.num_iterations == len(result.iterations) > 0
-        assert all(done.output is not None for done in result.completed)
-        assert result.batches == ()
-
     def test_drain_mode_is_default_and_unmarked(self):
         config = _config()
         engine = ServingEngine(config=config, backend="analytical", num_shards=1)
         result = engine.serve(make_requests([16, 24], config.head_dim, functional=False))
-        assert engine.mode == "drain"
         assert result.stats.mode == "drain"
         assert result.stats.num_iterations == 0
         assert result.iterations == ()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            ServingEngine(config=_config(), mode="streaming")
 
     def test_measured_clock_backend_rejected(self):
         with pytest.raises(ValueError, match="measured host time"):
@@ -564,14 +543,22 @@ class TestAccounting:
             assert done.device_seconds == pytest.approx(resident_seconds)
             assert done.device_seconds > 0
 
-    def test_engine_continuous_mode_reuses_its_shards(self):
+    def test_continuous_reuses_given_shards(self):
         config = _config()
-        engine = ServingEngine(
-            config=config, backend="simulator", num_shards=2, mode="continuous"
+        plan_cache = PlanCache()
+        backends = [
+            create_backend("simulator", config=config, plan_cache=plan_cache) for _ in range(2)
+        ]
+        result = serve_continuous(
+            make_requests([32] * 6, config.head_dim, seed=0),
+            config=config,
+            backend="simulator",
+            num_shards=2,
+            plan_cache=plan_cache,
+            backends=backends,
         )
-        result = engine.serve(make_requests([32] * 6, config.head_dim, seed=0))
         # One compile for the shape; every further lookup (either shard's
-        # retirement pass) hits the engine's pool-wide cache.
+        # retirement pass) hits the shards' pool-wide cache.
         assert result.stats.cache_misses == 1
 
     def test_request_rate_accounts_heads(self):

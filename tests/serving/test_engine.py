@@ -1,6 +1,7 @@
-"""Tests for the async serving engine and its accounting."""
+"""Tests for the drain serving engine and its accounting."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ import pytest
 from repro.attention.dense import dense_attention
 from repro.attention.masks import swat_window_mask
 from repro.core.config import SWATConfig
+from repro.serving.cache import PlanCache
 from repro.serving.engine import ServingEngine
 from repro.serving.request import AttentionRequest, make_requests
+from repro.telemetry import EventBus
+from repro.telemetry.events import to_record
+
+#: Event fields stamped from the host wall clock; ``stats`` is run_finished's
+#: copy of the run's stats, whose queue and latency percentiles are wall time.
+WALL_CLOCK_FIELDS = ("admit_time", "finish_time", "time", "wall_seconds", "stats")
 
 
 def _config(**overrides):
@@ -55,18 +63,71 @@ class TestFunctionalServing:
         assert result.stats.cache_hit_rate == pytest.approx(5 / 6)
 
 
-class TestAsyncApi:
-    def test_serve_async_from_running_loop(self):
+class TestInsideEventLoop:
+    def test_serve_from_a_running_event_loop(self):
+        """The drain loop is plain synchronous code, so async callers can call it."""
         config = _config()
         engine = ServingEngine(config=config, backend="analytical", num_shards=2)
 
         async def drive():
             requests = [AttentionRequest(seq_len=64) for _ in range(8)]
-            return await engine.serve_async(requests)
+            return engine.serve(requests)
 
         result = asyncio.run(drive())
         assert result.stats.num_requests == 8
         assert all(done.output is None for done in result.completed)
+
+
+class TestDrainLoop:
+    def _serve_logged(self, requests):
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        engine = ServingEngine(
+            config=_config(),
+            backend="simulator",
+            num_shards=3,
+            max_batch_size=2,
+            plan_cache=PlanCache(bus=bus),
+            bus=bus,
+        )
+        result = engine.serve(requests)
+        records = [to_record(event) for event in events]
+        for record in records:
+            for name in WALL_CLOCK_FIELDS:
+                record.pop(name, None)
+        return result, records
+
+    def test_repeated_serves_are_identical_off_the_wall_clock(self):
+        requests = make_requests([24, 32, 48, 24, 64, 32, 24, 48], 16, seed=3)
+        first, first_events = self._serve_logged(requests)
+        second, second_events = self._serve_logged(requests)
+        assert first.batches == second.batches
+        assert {record.shard for record in first.batches} == {0, 1, 2}
+        assert first.stats.total_energy_joules == second.stats.total_energy_joules
+        assert first.stats.shard_busy_seconds == second.stats.shard_busy_seconds
+        assert first_events == second_events
+
+    def test_paced_arrival_during_a_batch_counts_as_queueing(self):
+        config = _config()
+        requests = make_requests(
+            [24, 24], config.head_dim, functional=False, arrival_times=[0.0, 0.01]
+        )
+        engine = ServingEngine(config=config, backend="analytical", num_shards=1, max_batch_size=1)
+        shard = engine.shards[0]
+        execute_batch = shard.execute_batch
+
+        def slow_execute_batch(batch_requests):
+            time.sleep(0.05)
+            return execute_batch(batch_requests)
+
+        shard.execute_batch = slow_execute_batch
+        result = engine.serve(requests)
+        second = result.completed[1]
+        assert second.arrival_time == 0.01
+        # It arrived 10 ms in, but its batch could only start once the first
+        # one's 50 ms execution returned.
+        assert second.queue_seconds >= 0.03
 
 
 class TestAccounting:
@@ -132,8 +193,6 @@ class TestArrivalPacing:
     """Drain mode honours AttentionRequest.arrival_time with wall-clock pacing."""
 
     def test_zero_arrivals_skip_pacing(self):
-        import time
-
         config = _config()
         requests = make_requests([24] * 8, config.head_dim, functional=False)
         assert all(request.arrival_time == 0.0 for request in requests)
@@ -144,8 +203,6 @@ class TestArrivalPacing:
         assert len(result.completed) == len(requests)
 
     def test_paced_arrivals_stretch_the_run(self):
-        import time
-
         config = _config()
         arrivals = [0.0, 0.05, 0.1, 0.15]
         requests = make_requests(

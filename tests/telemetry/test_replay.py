@@ -273,6 +273,37 @@ class TestPlanCacheOnAnotherBus:
             engine.serve(requests)
         writer.close()
 
+    def test_serve_continuous_rejects_cache_of_another_run(self, tmp_path):
+        config = _config()
+        requests = make_requests([24, 32], config.head_dim, functional=False)
+        _, bus, writer = _instrumented_log(tmp_path, "continuous.jsonl")
+        with pytest.raises(ValueError, match=r"PlanCache\(bus=bus, run_id=run_id\)"):
+            serve_continuous(
+                requests,
+                config=config,
+                backend="analytical",
+                plan_cache=PlanCache(bus=bus),
+                bus=bus,
+                run_id=1,
+            )
+        writer.close()
+
+    def test_engine_serve_rejects_cache_of_another_run(self, tmp_path):
+        config = _config()
+        requests = make_requests([24, 32], config.head_dim, functional=False)
+        _, bus, writer = _instrumented_log(tmp_path, "drain.jsonl")
+        engine = ServingEngine(
+            config=config,
+            backend="analytical",
+            num_shards=1,
+            plan_cache=PlanCache(bus=bus),
+            bus=bus,
+            run_id=3,
+        )
+        with pytest.raises(ValueError, match=r"PlanCache\(bus=bus, run_id=run_id\)"):
+            engine.serve(requests)
+        writer.close()
+
     def test_inactive_bus_accepts_any_cache(self):
         config = _config()
         requests = make_requests([24], config.head_dim, functional=False)
