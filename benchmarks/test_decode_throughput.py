@@ -12,8 +12,9 @@ scheduler, so decode steps are priced by the vectorized ``step_burst`` path):
 * **Block decode** — classic ``k=1`` autoregression versus fixed-``k`` and
   adaptive block schedules on a model whose layers alternate attention
   geometry, so every decode step pays per-layer plan switches that larger
-  blocks amortise (the diffusion-style parallel-decode scenario priced via
-  ``span_cycles``).
+  blocks amortise (the diffusion-style parallel-decode scenario priced by
+  the closed-form ``span_cycles_matrix`` kernel, one call per decode plan
+  per burst).
 
 ``SERVING_DECODE_REQUESTS`` caps the trace size (CI smoke mode); headline
 numbers land in ``BENCH_serving.json`` via

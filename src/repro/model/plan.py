@@ -107,46 +107,10 @@ class _RowSpanPricing:
     """
 
     def span_cycles(self, row_lo: int, row_hi: int, primed: bool) -> int:
-        """Cycles to stream rows ``[row_lo, row_hi)`` in one iteration.
-
-        Rows are priced at their segment's initiation interval.  Fills: an
-        interior geometry switch (a segment ``s > 0`` whose boundary falls in
-        the span) always pays that segment's refill — the datapath is
-        reconfigured whether or not the pipeline was streaming; the row
-        axis's own initial fill (segment 0, or a span starting cold
-        mid-segment) follows the continuous engine's ``primed`` rule, exactly
-        like an attention request admitted into a streaming pipeline.  Any
-        slicing of ``[0, total_rows)`` that starts cold and stays primed
-        therefore sums exactly to ``total_cycles`` (the conservation property
-        the continuous-mode tests assert).
-        """
+        """Cycles to stream rows ``[row_lo, row_hi)``: one :meth:`span_cycles_matrix` span."""
         if not 0 <= row_lo < row_hi <= self.total_rows:
-            raise ValueError(
-                f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]"
-            )
-        first = int(np.searchsorted(self.cum_rows, row_lo, side="right")) - 1
-        last = int(np.searchsorted(self.cum_rows, row_hi, side="left")) - 1
-        cycles = 0
-        start_fill_charged = False
-        for layer in range(first, last + 1):
-            start = int(self.cum_rows[layer])
-            end = int(self.cum_rows[layer + 1])
-            covered = min(row_hi, end) - max(row_lo, start)
-            cycles += covered * int(self.layer_ii[layer])
-            fill = int(self.switch_fill[layer])
-            if not fill or start < row_lo:
-                continue
-            if layer == 0:
-                if not primed:
-                    cycles += fill
-                    start_fill_charged = True
-            else:
-                cycles += fill
-                if start == row_lo:
-                    start_fill_charged = True
-        if not primed and not start_fill_charged:
-            cycles += int(self.layer_fill[first] - self.layer_ii[first])
-        return cycles
+            raise ValueError(f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]")
+        return int(self.span_cycles_matrix([[row_lo, row_hi]], primed)[0, 0])
 
     @cached_property
     def _row_cycles_prefix(self) -> np.ndarray:
@@ -159,44 +123,47 @@ class _RowSpanPricing:
         """``[j]`` = summed refills of the first ``j`` interior boundaries."""
         return np.concatenate([[0], np.cumsum(self.switch_fill[1:])])
 
-    def span_cycles_batch(self, boundaries, primed: bool) -> np.ndarray:
-        """Vectorized :meth:`span_cycles` over consecutive spans.
+    def span_cycles_matrix(self, bounds, primed: bool) -> np.ndarray:
+        """Int64 ``(R, K)`` cycles of the spans ``[bounds[r, i], bounds[r, i + 1])``.
 
-        ``boundaries`` is a strictly increasing int array ``(K + 1,)``; span
-        ``i`` covers rows ``[boundaries[i], boundaries[i + 1])``.  The first
-        span follows ``primed``; later spans are primed by construction (the
-        pipeline just streamed the preceding span) — matching one
-        :meth:`span_cycles` call per span exactly.  Spans after the first price as
-        differences of a cumulative cost ``C(b)`` (streamed rows below ``b``
-        plus interior refills whose boundary lies below ``b``), so the whole
-        burst is two ``searchsorted`` calls instead of a Python loop.
-        Returns the int64 per-span cycle vector.
+        ``bounds`` is ``(R, K + 1)``, each row strictly increasing within
+        ``[0, total_rows]``.  Rows price at their segment's initiation
+        interval, and an interior geometry switch (segment ``s > 0`` whose
+        boundary falls in the span) always pays its refill — the datapath is
+        reconfigured whether or not the pipeline was streaming.  Each entry
+        is thus a difference of one cumulative cost ``C(b)`` (streamed rows
+        plus interior refills below ``b``): two ``searchsorted`` calls in all.
+        The row axis's own fill follows the continuous engine's ``primed``
+        rule: cold, each row's first span adds its first segment's
+        ``fill - II`` unless it starts exactly on an interior switch (``C``
+        charged that refill); later spans are primed by construction.  Any
+        slicing of ``[0, total_rows)`` that starts cold and stays primed
+        therefore sums exactly to ``total_cycles``.
         """
-        bounds = np.asarray(boundaries, dtype=np.int64)
-        if bounds.ndim != 1 or len(bounds) < 2:
-            raise ValueError("boundaries must delimit at least one span")
-        if bounds[-1] > self.total_rows or np.any(np.diff(bounds) <= 0):
-            raise ValueError(
-                f"boundaries must increase strictly within [0, {self.total_rows}]"
-            )
-        out = np.empty(len(bounds) - 1, dtype=np.int64)
-        out[0] = self.span_cycles(int(bounds[0]), int(bounds[1]), primed)
-        if len(bounds) == 2:
-            return out
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.ndim != 2 or bounds.shape[0] < 1 or bounds.shape[1] < 2:
+            raise ValueError(f"bounds must be an (R, K + 1) matrix of spans, got {bounds.shape}")
+        if (
+            bounds[:, 0].min() < 0
+            or bounds[:, -1].max() > self.total_rows
+            or (np.diff(bounds, axis=1) <= 0).any()
+        ):
+            raise ValueError(f"bounds rows must increase strictly within [0, {self.total_rows}]")
         cum_rows = self.cum_rows
-        num_segments = len(cum_rows) - 1
-        tail = bounds[1:]
-        segment = np.minimum(
-            np.searchsorted(cum_rows, tail, side="right") - 1, num_segments - 1
+        segment = np.searchsorted(cum_rows, bounds, side="right") - 1
+        np.minimum(segment, len(cum_rows) - 2, out=segment)
+        cumulative = (
+            self._row_cycles_prefix[segment]
+            + (bounds - cum_rows[segment]) * self.layer_ii[segment]
+            + self._interior_fill_prefix[np.searchsorted(cum_rows[1:-1], bounds, side="left")]
         )
-        row_cost = self._row_cycles_prefix[segment] + (
-            tail - cum_rows[segment]
-        ) * self.layer_ii[segment]
-        fills = self._interior_fill_prefix[
-            np.searchsorted(cum_rows[1:-1], tail, side="left")
-        ]
-        cumulative = row_cost + fills
-        out[1:] = cumulative[1:] - cumulative[:-1]
+        out = np.diff(cumulative, axis=1)
+        if not primed:
+            first = segment[:, 0]
+            on_switch = (
+                (first > 0) & (bounds[:, 0] == cum_rows[first]) & (self.switch_fill[first] > 0)
+            )
+            out[:, 0] += np.where(on_switch, 0, self.layer_fill[first] - self.layer_ii[first])
         return out
 
 

@@ -27,6 +27,7 @@ backends pass their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.core.config import SWATConfig
 
@@ -146,6 +147,11 @@ class ModelSpec:
 
     def fingerprint(self) -> "tuple[object, ...]":
         """Hashable identity of the execution shape (backend memoisation key)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> "tuple[object, ...]":
+        # Built once per (frozen) spec: serving keys every plan lookup on it.
         return (
             self.seq_len,
             self.num_heads,

@@ -61,8 +61,8 @@ cycles/bytes/energy off the plan's model-wide prefix sums) and one
 ``(B, H, seq, head_dim)`` pass per layer) — the serving layer's model
 registry.  On the continuous clock a forward advances through its model-wide
 row axis; its slices are priced positionally
-(:meth:`~repro.model.plan.ModelPlan.span_cycles`), so layer-geometry switches
-pay their refill exactly once wherever the iteration boundaries fall.
+(:meth:`~repro.model.plan.ModelPlan.span_cycles_matrix`), so layer-geometry
+switches pay their refill exactly once wherever the iteration boundaries fall.
 
 Autoregressive decode
 ---------------------
@@ -75,7 +75,8 @@ memoised per ``(spec, block schedule)``); the GPU and dense-FPGA baselines
 scale their full-context reports to the generated rows — per new token they
 still attend the whole context, which is exactly the KV-cache advantage the
 decode benchmark measures against re-prefilling.  Decode steps are tiny, so
-every ``step_burst`` prices them closed-form, like every other slice kind.
+every ``step_burst`` prices them closed-form, like every other slice kind,
+in one kernel call per decode plan.
 """
 
 from __future__ import annotations
@@ -538,6 +539,7 @@ class _SWATBackendBase(AttentionBackend):
         # attribute chains (pipeline model, power breakdown) are pure
         # functions of the frozen config.
         self._initiation_interval = self.simulator.pipeline.initiation_interval
+        self._pipeline_depth = self.simulator.pipeline.timing.pipeline_depth_cycles
         self._clock_period_s = self.config.clock_period_s
         self._total_power_w = self.simulator.power_model.total_power_w
 
@@ -653,13 +655,16 @@ class _SWATBackendBase(AttentionBackend):
         With the resident set fixed, every iteration before the last
         advances exactly ``iteration_rows`` gating rows, so an attention-only
         burst is ``[fill-or-primed first, (K - 2) primed full slices, one
-        primed remainder]`` — a handful of array ops.  Forward and decode
-        slices are priced positionally, and their closed form is
-        :meth:`~repro.model.plan._RowSpanPricing.span_cycles_batch`: one
-        cycle row per resident (cumulative-cost differences off the plan's
+        primed remainder]`` — a handful of array ops.  Otherwise the burst
+        builds one ``(residents, K + 1)`` matrix of iteration boundaries
+        along each resident's row axis.  Forward and decode residents are
+        priced positionally by
+        :meth:`~repro.model.plan._RowSpanPricing.span_cycles_matrix`, one
+        call per distinct plan (cumulative-cost differences off the plan's
         prefix sums, geometry-switch refills charged exactly once wherever
-        the iteration boundaries fall), with ``np.argmax`` down the slice
-        axis gating each iteration on its first largest slice.
+        the iteration boundaries fall); attention residents stream their
+        spans at the flat II.  ``np.argmax`` down the resident axis gates
+        each iteration on its first largest slice.
         """
         iterations = _burst_iterations(slices, iteration_rows)
         streamed = (iterations - 1) * iteration_rows
@@ -681,29 +686,27 @@ class _SWATBackendBase(AttentionBackend):
                 gate_rows=gate_rows,
                 iterations=iterations,
             )
-        cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
-        last_slice_rows = np.empty(len(slices), dtype=np.int64)
-        for index, ((_, rows_done, rows_left), plan) in enumerate(zip(slices, plans)):
-            last_slice_rows[index] = min(iteration_rows, rows_left - streamed)
+        rows_done, rows_left = np.array([slice_[1:] for slice_ in slices], dtype=np.int64).T
+        steps = np.arange(iterations + 1, dtype=np.int64) * iteration_rows
+        bounds = rows_done[:, None] + np.minimum(steps, rows_left[:, None])
+        spans = np.diff(bounds, axis=1)
+        by_plan: "dict[int, tuple[DecodePlan | ModelPlan | None, list[int]]]" = {}
+        for index, plan in enumerate(plans):
+            by_plan.setdefault(id(plan), (plan, []))[1].append(index)
+        cycle_rows = np.empty_like(spans)
+        for plan, members in by_plan.values():
             if plan is None:
-                row = cycle_rows[index]
-                row[:] = iteration_rows * self._initiation_interval
-                row[-1] = last_slice_rows[index] * self._initiation_interval
+                rows = spans[members] * self._initiation_interval
                 if not primed:
-                    # For a one-iteration burst this overwrites the remainder
-                    # entry: a cold first iteration prices the fill.
-                    row[0] = self.simulator.pipeline.cycles_for_rows(
-                        min(iteration_rows, rows_left)
-                    )
+                    # A cold first iteration pays the fill (cycles_for_rows).
+                    rows[:, 0] += self._pipeline_depth - self._initiation_interval
+                cycle_rows[members] = rows
             else:
-                boundaries = rows_done + np.minimum(
-                    np.arange(iterations + 1, dtype=np.int64) * iteration_rows, rows_left
-                )
-                cycle_rows[index] = plan.span_cycles_batch(boundaries, primed)
+                cycle_rows[members] = plan.span_cycles_matrix(bounds[members], primed)
         gate_index = np.argmax(cycle_rows, axis=0)
-        cycles = cycle_rows[gate_index, np.arange(iterations)]
-        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-        gate_rows[-1] = int(last_slice_rows[gate_index[-1]])
+        iteration_index = np.arange(iterations)
+        cycles = cycle_rows[gate_index, iteration_index]
+        gate_rows = spans[gate_index, iteration_index]
         seconds = cycles * self._clock_period_s
         return StepBurst(
             seconds=seconds,

@@ -261,7 +261,7 @@ class DecodeRequest:
     tokens with the prompt's K/V held resident on the shard.  Each step
     covers only the newly finalized row(s) — priced positionally off the
     model's compiled plan via
-    :meth:`~repro.model.plan.DecodePlan.span_cycles` — while the K/V
+    :meth:`~repro.model.plan.DecodePlan.span_cycles_matrix` — while the K/V
     residency model counts one miss for loading the prompt cache and one
     hit per subsequent step (:class:`repro.serving.cache.KVResidency`).
 

@@ -31,6 +31,7 @@ their runs simply carry no decode accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import ClassVar
 
 __all__ = [
@@ -277,11 +278,17 @@ EVENT_TYPES: "dict[str, type[Event]]" = {
 }
 
 
+@cache
+def _field_names(cls: "type[Event]") -> "tuple[str, ...]":
+    """The dataclass field names of one event class, in declaration order."""
+    return tuple(spec.name for spec in fields(cls))
+
+
 def to_record(event: Event) -> "dict[str, object]":
     """Serialise ``event`` to a flat JSON-able dict (version + kind + fields)."""
     record: "dict[str, object]" = {"v": SCHEMA_VERSION, "kind": event.kind}
-    for spec in fields(event):
-        record[spec.name] = getattr(event, spec.name)
+    for name in _field_names(type(event)):
+        record[name] = getattr(event, name)
     return record
 
 

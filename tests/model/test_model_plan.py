@@ -82,6 +82,29 @@ class TestModelSpec:
         assert a.fingerprint() == twin.fingerprint()
         assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
 
+    def test_memoised_fingerprint_tracks_fields(self):
+        from dataclasses import replace
+
+        spec = ModelSpec.uniform(2, 32, window_tokens=8, head_dim=HEAD_DIM)
+        twin = ModelSpec.uniform(2, 32, window_tokens=8, head_dim=HEAD_DIM)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec.fingerprint() is spec.fingerprint()  # built once per instance
+        assert spec.fingerprint() == twin.fingerprint()
+        # Memoising must not leak into equality or hashing.
+        assert spec == twin and hash(spec) == hash(twin)
+        wider = replace(spec, seq_len=64)
+        assert wider.fingerprint() != spec.fingerprint()
+        assert wider.fingerprint() == (
+            64,
+            spec.num_heads,
+            spec.head_dim,
+            spec.mlp_dim,
+            tuple(layer.fingerprint() for layer in spec.layers),
+        )
+        assert wider.fingerprint() == ModelSpec.uniform(
+            2, 64, window_tokens=8, head_dim=HEAD_DIM
+        ).fingerprint()
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -18,6 +18,7 @@ from repro.serving.backends import (
 )
 from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, make_request
+from tests.model.span_oracle import looped_span_cycles
 
 EXPECTED_BACKENDS = {
     "simulator",
@@ -192,7 +193,7 @@ def _swat_iteration(backend, slices, primed):
     for request, rows_done, rows in slices:
         plan = backend._positional_plan(request)
         if plan is not None:
-            slice_cycles = plan.span_cycles(rows_done, rows_done + rows, primed)
+            slice_cycles = looped_span_cycles(plan, rows_done, rows_done + rows, primed)
         elif primed:
             slice_cycles = rows * backend.simulator.pipeline.initiation_interval
         else:
@@ -342,6 +343,55 @@ class TestStepBurst:
         config = _config()
         backend = create_backend(name, config=config, plan_cache=PlanCache())
         slices = self._mixed_slices(backend, config)
+        vectorized = backend.step_burst(slices, primed, iteration_rows)
+        looped = _looped_burst(backend, slices, primed, iteration_rows)
+        self._assert_bursts_equal(vectorized, looped)
+
+    @staticmethod
+    def _alternating_slices(backend, config):
+        """Residents sharing plans at switch, same-geometry and mid-segment offsets.
+
+        ``alternating`` switches geometry at every layer (like the decode-mix
+        benchmark model); ``paired`` keeps it across layers 0-1 and 2-3, so
+        its boundary 1 is a same-geometry one.
+        """
+        from repro.model import LayerGeometry, ModelSpec
+        from repro.serving.request import make_decode_request, make_forward_request
+
+        narrow, wide = LayerGeometry(window_tokens=8), LayerGeometry(window_tokens=16)
+        alternating = ModelSpec(
+            seq_len=24, layers=(narrow, wide, narrow, wide), num_heads=2, head_dim=config.head_dim
+        )
+        paired = ModelSpec(
+            seq_len=24, layers=(narrow, narrow, wide, wide), num_heads=2, head_dim=config.head_dim
+        )
+        decodes = [make_decode_request(alternating, new_tokens=8, block_size=4) for _ in range(3)]
+        decode_plan = backend._positional_plan(decodes[0])
+        assert all(backend._positional_plan(request) is decode_plan for request in decodes)
+        paired_plan = backend.model_plan(make_forward_request(paired, functional=False))
+        assert paired_plan.switch_fill[1] == 0 and paired_plan.switch_fill[2] > 0
+        residents = [
+            (decodes[0], 0),
+            (decodes[1], int(decode_plan.cum_rows[1])),  # geometry switch
+            (decodes[2], int(decode_plan.cum_rows[2]) + 3),  # mid-segment
+            (make_forward_request(paired, functional=False), int(paired_plan.cum_rows[1])),
+            (make_forward_request(paired, functional=False), int(paired_plan.cum_rows[2])),
+            (make_forward_request(alternating, functional=False), 5),
+            (AttentionRequest(seq_len=48), 0),
+            (AttentionRequest(seq_len=64, num_heads=2), 11),
+        ]
+        return [
+            (request, done, backend.request_rows(request) - done) for request, done in residents
+        ]
+
+    @pytest.mark.parametrize("name", ["simulator", "analytical"])
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("iteration_rows", [1, 7, 16, 1000])
+    def test_alternating_geometry_burst_matches_looped_default(self, name, primed, iteration_rows):
+        """Residents sharing a plan price in one kernel call, bit-exactly."""
+        config = _config()
+        backend = create_backend(name, config=config, plan_cache=PlanCache())
+        slices = self._alternating_slices(backend, config)
         vectorized = backend.step_burst(slices, primed, iteration_rows)
         looped = _looped_burst(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)

@@ -2,7 +2,7 @@
 
 Covers the decode request kind end to end — block schedules and K/V byte
 accounting on :class:`DecodeRequest`, positional pricing through
-:class:`~repro.model.plan.DecodePlan` (conservation and batch/scalar
+:class:`~repro.model.plan.DecodePlan` (conservation and kernel/looped-oracle
 equality), the :class:`~repro.serving.cache.KVResidency` counters, per-token
 latency stats, and the tentpole invariant: a mixed prefill+decode trace runs
 bit-identically through the ``"event"`` and ``"reference"`` continuous
@@ -28,6 +28,7 @@ from repro.serving.request import (
 )
 from repro.serving.stats import decode_token_intervals
 from repro.telemetry.bus import EventBus
+from tests.model.span_oracle import looped_span_cycles
 
 CONTINUOUS_BACKENDS = ["simulator", "analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]
 
@@ -111,13 +112,13 @@ class TestDecodePlan:
         rng = np.random.default_rng(0)
         cuts = np.sort(rng.choice(np.arange(1, plan.total_rows), size=6, replace=False))
         boundaries = np.concatenate(([0], cuts, [plan.total_rows]))
-        batch = plan.span_cycles_batch(boundaries, primed)
+        kernel = plan.span_cycles_matrix(boundaries[None, :], primed)[0]
         # First span inherits the burst's priming; later spans are primed.
-        scalar = [plan.span_cycles(int(boundaries[0]), int(boundaries[1]), primed)] + [
-            plan.span_cycles(int(lo), int(hi), True)
+        looped = [looped_span_cycles(plan, int(boundaries[0]), int(boundaries[1]), primed)] + [
+            looped_span_cycles(plan, int(lo), int(hi), True)
             for lo, hi in zip(boundaries[1:-1], boundaries[2:])
         ]
-        assert np.array_equal(batch, np.asarray(scalar, dtype=np.int64))
+        assert np.array_equal(kernel, np.asarray(looped, dtype=np.int64))
 
     def test_out_of_range_span_raises(self):
         plan = self._plan()

@@ -91,6 +91,19 @@ class TestRoundTrip:
     def test_every_kind_is_registered(self):
         assert {event.kind for event in EXAMPLES} == set(EVENT_TYPES)
 
+    @pytest.mark.parametrize("event", EXAMPLES, ids=lambda event: event.kind)
+    def test_record_matches_fields_oracle_in_order(self, event):
+        """Key for key, in declaration order, so JSONL lines stay byte-identical."""
+        import json
+        from dataclasses import fields
+
+        oracle = {"v": SCHEMA_VERSION, "kind": event.kind}
+        for spec in fields(event):
+            oracle[spec.name] = getattr(event, spec.name)
+        record = to_record(event)
+        assert list(record.items()) == list(oracle.items())
+        assert json.dumps(record) == json.dumps(oracle)
+
     def test_float_fields_round_trip_bit_exactly(self):
         import json
 
