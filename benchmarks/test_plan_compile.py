@@ -2,9 +2,10 @@
 
 The plan-IR refactor's acceptance numbers live here: schedule compilation
 (:func:`repro.core.plan.compile_plan`) must be at least 5x faster than the
-seed's per-row construction (:func:`repro.core.plan.legacy_row_plans`), and
-the blocked executor must make the full functional simulation measurably
-faster than the per-row execution shape it replaced.
+seed's per-row construction (``legacy_row_plans``, kept as the test oracle in
+``tests/core/schedule_oracle.py``), and the blocked executor must make the
+full functional simulation measurably faster than the per-row execution
+shape it replaced.
 
 ``PLAN_COMPILE_SEQ_LENS`` (comma-separated) overrides the swept sequence
 lengths; CI sets it to a single short length so schedule-build regressions
@@ -22,10 +23,10 @@ from repro.core.plan import (
     compile_plan,
     execute_plan_attention,
     execute_plan_attention_rows,
-    legacy_row_plans,
 )
 from repro.core.simulator import SWATSimulator
 from repro.workload.generator import attention_inputs
+from tests.core.schedule_oracle import legacy_row_plans
 
 #: Build-speedup floor asserted at every swept length (acceptance criterion).
 BUILD_SPEEDUP_FLOOR = 5.0

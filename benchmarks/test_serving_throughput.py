@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.core.config import SWATConfig
-from repro.core.scheduler import RowMajorScheduler
+from repro.core.plan import compile_plan
 from repro.core.simulator import SWATSimulator
 from repro.serving.cache import PlanCache
 from repro.serving.continuous import (
@@ -469,7 +469,7 @@ def test_plan_cache_speedup_on_repeated_shapes(benchmark):
 
     def cold_run():
         for _ in range(repeats):
-            RowMajorScheduler(config, seq_len).plans()
+            compile_plan(config, seq_len)
 
     def warm_run():
         cache = PlanCache()

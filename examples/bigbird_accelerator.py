@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import SWATConfig, SWATSimulator
 from repro.attention import dense_attention
-from repro.core.scheduler import RowMajorScheduler
 from repro.workload import attention_inputs
 
 
@@ -33,10 +32,11 @@ def main() -> None:
         simulator = SWATSimulator(config)
         result = simulator.run(q, k, v)
 
-        # Rebuild the attention mask the scheduler realised and cross-check.
+        # Rebuild the attention mask the compiled plan realised and cross-check.
+        plan = simulator.resolve_plan(seq_len)
         mask = np.zeros((seq_len, seq_len), dtype=bool)
-        for plan in RowMajorScheduler(config, seq_len).plans():
-            mask[plan.row, list(plan.attended_keys)] = True
+        rows, slots = np.nonzero(plan.key_indices >= 0)
+        mask[rows, plan.key_indices[rows, slots]] = True
         reference = dense_attention(q, k, v, mask=mask)
         error = float(np.max(np.abs(result.output - reference)))
 

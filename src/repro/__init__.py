@@ -27,10 +27,11 @@ model
     cycle/traffic prefix sums) and the stacked ``ModelExecutor`` forward,
     bit-identical to the layer-by-layer ``repro.nn`` reference.
 serving
-    Async multi-accelerator serving layer: pluggable backend registry,
-    dynamic batching across a shard pool, whole-model forward requests,
-    continuous batching on a simulated clock, plan/schedule caching and
-    serving-level throughput accounting (``repro-serve`` CLI).
+    Multi-accelerator serving layer: pluggable backend registry, a
+    synchronous drain engine with dynamic batching across a shard pool,
+    whole-model forward and decode requests, continuous batching on a
+    simulated clock, plan/schedule caching and serving-level throughput
+    accounting (``repro-serve`` CLI).
 workload
     Transformer workload specifications and FLOPs/MOPs accounting.
 nn

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SWATConfig
-from repro.core.scheduler import RowMajorScheduler
+from repro.core.plan import compile_plan
 from repro.numerics.floating import quantize
 
 __all__ = ["swat_functional_attention"]
@@ -75,17 +75,19 @@ def swat_functional_attention(
     k_stored = quantize(k, precision)
     v_stored = quantize(v, precision)
 
-    scheduler = RowMajorScheduler(config, seq_len)
+    plan = compile_plan(config, seq_len)
     output = np.empty_like(q_stored)
-    for plan in scheduler.plans():
-        keys = list(plan.attended_keys)
+    for row in range(seq_len):
+        # Ascending key order fixes the accumulation order of the rounded
+        # reductions (the plan's core order would round differently).
+        keys = np.sort(plan.key_indices[row, : plan.key_counts[row]])
         k_rows = k_stored[keys]
         v_rows = v_stored[keys]
-        scores = quantize((k_rows @ q_stored[plan.row]) * scale, precision)
+        scores = quantize((k_rows @ q_stored[row]) * scale, precision)
         if subtract_max:
             scores = quantize(scores - scores.max(), precision)
         weights = quantize(np.exp(scores), precision)
         z_unscaled = quantize(weights @ v_rows, precision)
         row_sum = float(quantize(weights.sum(), precision))
-        output[plan.row] = quantize(z_unscaled / row_sum, precision)
+        output[row] = quantize(z_unscaled / row_sum, precision)
     return output

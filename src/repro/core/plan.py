@@ -1,16 +1,10 @@
 """Compiled, array-backed execution plan — the IR between all SWAT layers.
 
-The seed code priced every query row through per-row Python objects: the
-scheduler materialised one :class:`RowPlan` of int-tuples per row (with an
-``O(seq_len)`` pass of numpy set operations per row just for the random
-table) and the simulator called the fused kernel once per row.  This module
-compiles the whole row-major schedule into a handful of dense numpy arrays in
-a single vectorized pass, and that compiled :class:`ExecutionPlan` is the
-contract shared by every layer of the repository:
+This module compiles the whole row-major schedule of one shape into a
+handful of dense numpy arrays in a single vectorized pass.  The compiled
+:class:`ExecutionPlan` is the only schedule object — the contract shared by
+every layer of the repository:
 
-* :class:`~repro.core.scheduler.RowMajorScheduler` is a thin producer — it
-  compiles a plan and keeps ``plans()``/:class:`RowPlan` as a compatibility
-  view backed by the arrays;
 * :meth:`~repro.core.simulator.SWATSimulator.run` executes fused attention
   over row *chunks* read from the plan arrays (:func:`execute_plan_attention`:
   contiguous K/V slab GEMMs for the window, a small gather for the extras)
@@ -18,7 +12,8 @@ contract shared by every layer of the repository:
 * :meth:`~repro.core.simulator.SWATSimulator.estimate_traffic` and the
   analytical serving backend read traffic and cycles straight off the plan's
   prefix sums;
-* :class:`~repro.serving.cache.PlanCache` caches the compact compiled arrays;
+* :meth:`PlanCache.lookup <repro.serving.cache.PlanCache.lookup>` — the one
+  cache entry point — memoises the compact compiled plans per shape;
 * the GPU chunked runner and the Figure 3 / Figure 8 experiments consume the
   same IR for long-sequence sweeps.
 
@@ -38,9 +33,9 @@ compilation exact and cheap:
   random key is a *reload* (already fetched by the dataflow) exactly when it
   lies behind the window (``key < lo``).
 
-:func:`legacy_row_plans` retains the seed's per-row construction verbatim; it
-is the reference the hypothesis property suite and the
-``benchmarks/test_plan_compile.py`` speedup benchmark compare against.
+The seed's per-row construction is the test oracle
+``tests/core/schedule_oracle.py``, which the hypothesis property suite and
+the ``benchmarks/test_plan_compile.py`` speedup benchmark compare against.
 """
 
 from __future__ import annotations
@@ -54,79 +49,17 @@ from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel, cycle_prefix_vector
 
 __all__ = [
-    "RowPlan",
     "ExecutionPlan",
     "PlanBatch",
     "compile_plan",
     "execute_plan_attention",
     "execute_plan_attention_rows",
-    "legacy_row_plans",
 ]
 
 #: Query rows per executor chunk.  Each chunk turns into two dense GEMMs over
 #: a contiguous K/V slab of at most ``window_tokens + _CHUNK_ROWS - 1`` keys,
 #: bounding scratch memory while keeping the matrices BLAS-sized.
 _CHUNK_ROWS = 512
-
-
-@dataclass(frozen=True)
-class RowPlan:
-    """The work of one query row (compatibility view over the compiled plan).
-
-    Attributes
-    ----------
-    row:
-        Query row index ``i``.
-    window_keys:
-        Key indices covered by the sliding window for this row.
-    global_keys:
-        Key indices of global tokens (constant across rows).
-    random_keys:
-        Key indices of this row's static random tokens.
-    new_window_keys:
-        Window keys that were not resident in the FIFO before this row and
-        therefore must be loaded during this row's LOAD stage.
-    reloaded_keys:
-        Random keys loaded this row that the dataflow has already fetched
-        (window-resident or global); these are the source of redundant
-        traffic.  Random keys pointing ahead of the window are fetched too
-        (see :attr:`keys_loaded`) but are first-time loads, not reloads.
-    attended_keys:
-        All keys attended by this row, sorted and de-duplicated.  Derived
-        once at construction (from the compiled plan when available) rather
-        than recomputed as a sorted-set union on every access.
-    keys_loaded:
-        Keys whose K/V rows are fetched from off-chip memory this row: every
-        random key is refreshed every row it appears in, plus the window keys
-        entering the FIFO.  Also derived once at construction.
-    """
-
-    row: int
-    window_keys: "tuple[int, ...]"
-    global_keys: "tuple[int, ...]"
-    random_keys: "tuple[int, ...]"
-    new_window_keys: "tuple[int, ...]"
-    reloaded_keys: "tuple[int, ...]"
-    attended_keys: "tuple[int, ...] | None" = None
-    keys_loaded: "tuple[int, ...] | None" = None
-
-    def __post_init__(self) -> None:
-        # Direct constructions (tests, ad-hoc plans) may omit the derived
-        # fields; compute them once here instead of on every property access.
-        if self.attended_keys is None:
-            object.__setattr__(
-                self,
-                "attended_keys",
-                tuple(
-                    sorted(set(self.window_keys) | set(self.global_keys) | set(self.random_keys))
-                ),
-            )
-        if self.keys_loaded is None:
-            object.__setattr__(
-                self,
-                "keys_loaded",
-                tuple(sorted(set(self.new_window_keys) | set(self.random_keys))),
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,54 +272,6 @@ class ExecutionPlan:
             "output": self.seq_len * row_bytes,
             "redundant_kv": 2 * redundant_rows * row_bytes,
         }
-
-    # ------------------------------------------------------------------ #
-    # RowPlan compatibility view
-    # ------------------------------------------------------------------ #
-
-    @cached_property
-    def global_key_tuple(self) -> "tuple[int, ...]":
-        return tuple(int(key) for key in self.global_keys)
-
-    def row_plan(self, row: int) -> RowPlan:
-        """Materialise the :class:`RowPlan` view of one row."""
-        if not 0 <= row < self.seq_len:
-            raise ValueError(f"row {row} out of range [0, {self.seq_len})")
-        lo = int(self.window_lo[row])
-        hi = int(self.window_hi[row])
-        new_lo = int(self.new_lo[row])
-        new_hi = int(self.new_hi[row])
-        count = int(self.random_counts[row])
-        randoms = tuple(int(key) for key in self.random_keys[row, :count])
-        reloaded = tuple(
-            int(key) for key in self.random_keys[row, :count][self.reload_mask[row, :count]]
-        )
-        globals_ = self.global_key_tuple
-        g_eff = len(globals_)
-        # Sorted merges, assembled from the plan's contiguous segments instead
-        # of sorted-set unions: randoms behind the window sit in [g, lo) and
-        # randoms ahead sit at or above max(hi, g), so ascending order is
-        # globals-behind, randoms-behind, window, globals-ahead, randoms-ahead.
-        behind = tuple(key for key in randoms if key < lo)
-        ahead = randoms[len(behind) :]
-        attended = (
-            globals_[: min(g_eff, lo)] + behind + tuple(range(lo, hi)) + globals_[hi:] + ahead
-        )
-        keys_loaded = behind + tuple(range(new_lo, new_hi)) + ahead
-        return RowPlan(
-            row=row,
-            window_keys=tuple(range(lo, hi)),
-            global_keys=globals_,
-            random_keys=randoms,
-            new_window_keys=tuple(range(new_lo, new_hi)),
-            reloaded_keys=reloaded,
-            attended_keys=attended,
-            keys_loaded=keys_loaded,
-        )
-
-    def row_plans(self) -> "tuple[RowPlan, ...]":
-        """Materialise the full :class:`RowPlan` view (compatibility path)."""
-        return tuple(self.row_plan(row) for row in range(self.seq_len))
 
 
 # ---------------------------------------------------------------------- #
@@ -749,61 +634,3 @@ class PlanBatch:
             outputs.append(item[0] if was_2d else item)
             offset += count
         return tuple(outputs)
-
-
-# ---------------------------------------------------------------------- #
-# Legacy reference construction
-# ---------------------------------------------------------------------- #
-
-
-def legacy_row_plans(config: SWATConfig, seq_len: int) -> "list[RowPlan]":
-    """The seed's per-row schedule construction, kept verbatim as reference.
-
-    ``O(seq_len)`` numpy set operations per row for the random table plus an
-    ``O(seq_len * window)`` Python loop for the plans — the cost profile the
-    compiled :func:`compile_plan` replaces.  The hypothesis property suite
-    asserts field-by-field equality between this construction and the
-    compiled plan's :meth:`ExecutionPlan.row_plans` view.
-    """
-    if seq_len <= 0:
-        raise ValueError(f"seq_len must be positive, got {seq_len}")
-    global_keys = config.global_token_indices(seq_len)
-    half_width = config.window_half_width
-
-    random_table: "dict[int, tuple[int, ...]]" = {}
-    if config.has_random_attention:
-        rng = np.random.default_rng(config.random_seed)
-        all_positions = np.arange(seq_len)
-        for row in range(seq_len):
-            delta = all_positions - row
-            outside_window = all_positions[(delta < -half_width) | (delta >= half_width)]
-            candidates = np.setdiff1d(outside_window, np.asarray(global_keys, dtype=int))
-            if candidates.size == 0:
-                random_table[row] = ()
-                continue
-            count = min(config.num_random_tokens, candidates.size)
-            random_table[row] = tuple(
-                int(x) for x in np.sort(rng.choice(candidates, count, replace=False))
-            )
-
-    resident: "set[int]" = set()
-    plans = []
-    for row in range(seq_len):
-        lo = max(0, row - half_width)
-        hi = min(seq_len, row + half_width)
-        window = tuple(range(lo, max(hi, row + 1)))
-        new_window = tuple(key for key in window if key not in resident)
-        resident.update(new_window)
-        random_keys = random_table.get(row, ())
-        reloaded = tuple(key for key in random_keys if key in resident or key in global_keys)
-        plans.append(
-            RowPlan(
-                row=row,
-                window_keys=window,
-                global_keys=global_keys,
-                random_keys=random_keys,
-                new_window_keys=new_window,
-                reloaded_keys=reloaded,
-            )
-        )
-    return plans

@@ -4,8 +4,9 @@ The simulator combines the independently-tested models of this package:
 
 * the **compiled execution plan** (:mod:`repro.core.plan`) encodes, as dense
   arrays, which keys every row attends and which K/V rows are loaded — the
-  row-major, input-stationary dataflow (produced by
-  :class:`~repro.core.scheduler.RowMajorScheduler`);
+  row-major, input-stationary dataflow (compiled by
+  :func:`~repro.core.plan.compile_plan`, or resolved through a
+  :class:`~repro.serving.cache.PlanCache`);
 * the **pipeline model** (:mod:`repro.core.pipeline`) prices each row at the
   stage-level cycle counts of Table 1 and composes them into the end-to-end
   latency;
@@ -39,12 +40,12 @@ import numpy as np
 from repro.core.config import SWATConfig
 from repro.core.fifo import FifoStats
 from repro.core.pipeline import SWATPipelineModel
-from repro.core.plan import ExecutionPlan, PlanBatch, compile_plan, execute_plan_attention
+from repro.core.plan import ExecutionPlan, compile_plan, execute_plan_attention
 from repro.core.power import PowerModel
 from repro.core.resources import ResourceEstimate, estimate_resources
 from repro.fpga.memory import HBMModel, MemoryTrafficSummary
 
-__all__ = ["TimingReport", "SimulationResult", "BatchSimulationResult", "SWATSimulator"]
+__all__ = ["TimingReport", "SimulationResult", "SWATSimulator"]
 
 
 @dataclass(frozen=True)
@@ -114,37 +115,6 @@ class SimulationResult:
     resources: ResourceEstimate
 
 
-@dataclass(frozen=True)
-class BatchSimulationResult:
-    """Everything one batched cycle-accurate dispatch produces.
-
-    Attributes
-    ----------
-    outputs:
-        Per-item attention outputs, each in the shape the item supplied
-        (``(seq_len, head_dim)`` or ``(H, seq_len, head_dim)``).
-    timing:
-        Batch-amortised latency/energy report: the pipeline fill is paid once
-        for the whole batch and ``num_heads`` counts every accounted head.
-    traffic:
-        Off-chip traffic summed over all accounted heads of the batch.
-    fifo_stats:
-        Load/eviction counters of one head's pass through the window FIFO
-        (identical for every head of the shared schedule).
-    resources:
-        Resource estimate of the simulated configuration.
-    head_counts:
-        Accounted heads per item (the timing/traffic weights).
-    """
-
-    outputs: "tuple[np.ndarray, ...]"
-    timing: TimingReport
-    traffic: MemoryTrafficSummary
-    fifo_stats: FifoStats
-    resources: ResourceEstimate
-    head_counts: "tuple[int, ...]"
-
-
 class SWATSimulator:
     """Cycle-accurate, functionally-exact simulator of one SWAT instance."""
 
@@ -159,9 +129,8 @@ class SWATSimulator:
         self.resources = estimate_resources(self.config)
         self.power_model = PowerModel(self.config, self.resources)
         #: Optional schedule cache (see :class:`repro.serving.cache.PlanCache`).
-        #: Anything with a ``lookup(config, seq_len)`` method returning an
-        #: object with a compiled ``plan`` attribute works; ``None`` recompiles
-        #: the execution plan on every call.
+        #: Anything with a ``lookup(config, seq_len) -> ExecutionPlan`` method
+        #: works; ``None`` recompiles the execution plan on every call.
         self.plan_cache = plan_cache
         self.hbm = hbm if hbm is not None else HBMModel(
             bandwidth_gbps=self.config.device.hbm_bandwidth_gbps,
@@ -171,7 +140,7 @@ class SWATSimulator:
     def resolve_plan(self, seq_len: int) -> ExecutionPlan:
         """Resolve the compiled execution plan, through the cache when present."""
         if self.plan_cache is not None:
-            return self.plan_cache.lookup(self.config, seq_len).plan
+            return self.plan_cache.lookup(self.config, seq_len)
         return compile_plan(self.config, seq_len, pipeline=self.pipeline)
 
     # ------------------------------------------------------------------ #
@@ -294,92 +263,4 @@ class SWATSimulator:
                 seq_len, capacity=max(self.config.window_tokens, 1)
             ),
             resources=self.resources,
-        )
-
-    def run_batch(
-        self,
-        batch: PlanBatch,
-        scale: "float | None" = None,
-        head_counts: "list[int] | None" = None,
-    ) -> BatchSimulationResult:
-        """Simulate a batch of same-shape attentions in one stacked pass.
-
-        The batch's items share one compiled plan, so the functional pass is
-        a single stacked execution (:meth:`repro.core.plan.PlanBatch.execute`)
-        whose per-head results are bit-identical to running :meth:`run` per
-        item.  Timing generalises the per-request model to batches: the
-        items stream back to back through the pipeline, paying the fill once
-        (:meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`),
-        and traffic is one head's plan traffic weighted by the accounted
-        heads.
-
-        Parameters
-        ----------
-        batch:
-            The stacked :class:`~repro.core.plan.PlanBatch` to execute.  Its
-            plan must match this simulator's config.
-        scale:
-            Score scaling factor, default ``1/sqrt(config.head_dim)``.
-        head_counts:
-            Accounted heads per item for the timing/traffic model.  Defaults
-            to the data heads each item stacked; pass larger counts when an
-            item's remaining heads are identical in cost but not executed
-            functionally (the serving layer's ``num_heads`` accounting).
-        """
-        plan = batch.plan
-        if plan.fingerprint != self.config.schedule_fingerprint():
-            raise ValueError(
-                f"batch plan fingerprint {plan.fingerprint} does not match this "
-                f"simulator ({self.config.schedule_fingerprint()})"
-            )
-        if batch.q.shape[-1] != self.config.head_dim:
-            raise ValueError(
-                f"head_dim {batch.q.shape[-1]} does not match config head_dim "
-                f"{self.config.head_dim}"
-            )
-        if head_counts is None:
-            head_counts = list(batch.head_counts)
-        elif len(head_counts) != batch.num_items:
-            raise ValueError(
-                f"head_counts has {len(head_counts)} entries for {batch.num_items} items"
-            )
-        if scale is None:
-            scale = 1.0 / np.sqrt(self.config.head_dim)
-
-        outputs = batch.split(batch.execute(scale=scale, subtract_max=False))
-
-        seq_len = plan.seq_len
-        total_heads = sum(head_counts)
-        cycles = self.pipeline.batch_attention_cycles(
-            [(seq_len, heads) for heads in head_counts]
-        )
-        seconds = cycles * self.config.clock_period_s
-        power = self.power_model.total_power_w
-        timing = TimingReport(
-            seq_len=seq_len,
-            num_heads=total_heads,
-            cycles=cycles,
-            seconds=seconds,
-            initiation_interval=self.pipeline.initiation_interval,
-            stage_cycles=dict(self.pipeline.timing.stage_cycles),
-            power_w=power,
-            energy_joules=power * seconds,
-        )
-        per_head = plan.traffic_bytes()
-        traffic = MemoryTrafficSummary(
-            q_bytes_loaded=per_head["q"] * total_heads,
-            k_bytes_loaded=per_head["k"] * total_heads,
-            v_bytes_loaded=per_head["v"] * total_heads,
-            output_bytes_stored=per_head["output"] * total_heads,
-            redundant_kv_bytes=per_head["redundant_kv"] * total_heads,
-        )
-        return BatchSimulationResult(
-            outputs=outputs,
-            timing=timing,
-            traffic=traffic,
-            fifo_stats=FifoStats.for_streamed_window(
-                seq_len, capacity=max(self.config.window_tokens, 1)
-            ),
-            resources=self.resources,
-            head_counts=tuple(head_counts),
         )

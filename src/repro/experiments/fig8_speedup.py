@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.metrics import speedup
 from repro.analysis.report import Table
-from repro.baselines.butterfly_accel import BTF1, BTF2, ButterflyAccelerator, ButterflyModelConfig
+from repro.baselines.butterfly_accel import ButterflyAccelerator, ButterflyModelConfig
 from repro.core.config import SWATConfig
 from repro.core.plan import compile_plan
 
@@ -62,7 +62,7 @@ def run(
     speedup_vs_btf2 = []
     for seq_len in input_lengths:
         if plan_cache is not None:
-            plan = plan_cache.lookup(config, seq_len).plan
+            plan = plan_cache.lookup(config, seq_len)
         else:
             plan = compile_plan(config, seq_len)
         swat_seconds = plan.total_cycles * config.clock_period_s * num_layers

@@ -387,7 +387,7 @@ class ModelPlanCompiler:
     serving pool compiling many forwards pays each schedule build once —
     within a model (layers sharing a geometry) *and* across models.
     ``plan_cache`` is duck-typed (anything with a
-    ``plan(config, seq_len) -> ExecutionPlan`` method) so this package never
+    ``lookup(config, seq_len) -> ExecutionPlan`` method) so this package never
     imports the serving layer, which imports it.
     """
 
@@ -401,7 +401,7 @@ class ModelPlanCompiler:
 
     def _resolve_plan(self, config: SWATConfig, seq_len: int) -> ExecutionPlan:
         if self.plan_cache is not None:
-            return self.plan_cache.plan(config, seq_len)
+            return self.plan_cache.lookup(config, seq_len)
         return compile_plan(config, seq_len)
 
     def compile(self, spec: ModelSpec) -> ModelPlan:

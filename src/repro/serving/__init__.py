@@ -18,7 +18,7 @@ from repro.serving.backends import (
     register_backend,
 )
 from repro.serving.batcher import DynamicBatcher, seq_len_bucket
-from repro.serving.cache import CachedPlan, KVResidency, PlanCache, config_fingerprint
+from repro.serving.cache import KVResidency, PlanCache, config_fingerprint
 from repro.serving.continuous import (
     QUEUE_POLICIES,
     SCHEDULERS,
@@ -55,7 +55,6 @@ __all__ = [
     "register_backend",
     "DynamicBatcher",
     "seq_len_bucket",
-    "CachedPlan",
     "KVResidency",
     "PlanCache",
     "config_fingerprint",

@@ -11,8 +11,8 @@ engine, the demo CLI and the benchmarks select execution paths with a string:
     high-throughput capacity-planning path.
 ``fused``
     The software fused row-wise kernel of :mod:`repro.attention.fused`,
-    scheduled by the same row plans as the hardware (host execution, measured
-    wall time instead of modelled cycles).
+    scheduled by the same compiled execution plans as the hardware (host
+    execution, measured wall time instead of modelled cycles).
 ``gpu-dense`` / ``gpu-chunked``
     The analytical GPU models of :mod:`repro.gpu` (dense and sliding-chunks).
 ``dense-fpga``
@@ -92,7 +92,6 @@ import numpy as np
 from repro.baselines.dense_fpga import DenseFPGABaseline
 from repro.core.config import SWATConfig
 from repro.core.plan import PlanBatch
-from repro.core.pipeline import SWATPipelineModel
 from repro.core.power import PowerModel
 from repro.core.simulator import SWATSimulator
 from repro.gpu.chunked_runner import SlidingChunksAttentionGPU
@@ -111,7 +110,6 @@ __all__ = [
     "register_backend",
     "create_backend",
     "available_backends",
-    "swat_batch_cycles",
     "batch_head_rows",
     "seq_len_groups",
     "indexed_seq_len_groups",
@@ -429,23 +427,6 @@ def available_backends() -> "tuple[str, ...]":
     return REGISTRY.names()
 
 
-def swat_batch_cycles(pipeline: SWATPipelineModel, batch: "list[AttentionRequest]") -> int:
-    """Cycles for a batch of attentions streamed back to back on one SWAT.
-
-    Thin request-level wrapper of
-    :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`:
-    the fill is paid once per dispatch rather than once per request
-    (``fill + (total_rows - 1) * II``), with each request's heads distributed
-    across the replicated pipelines.  Attention requests only — whole-model
-    forwards price through their compiled
-    :class:`~repro.model.plan.ModelPlan`, whose per-layer pipelines may
-    differ from the batch's.
-    """
-    return pipeline.batch_attention_cycles(
-        [(request.seq_len, request.num_heads) for request in batch]
-    )
-
-
 def batch_head_rows(batch: "list[AttentionRequest]") -> int:
     """Accounted head-row units of a batch (``num_heads * seq_len`` per
     attention request, summed over layers for forwards).
@@ -726,10 +707,8 @@ class SimulatorBackend(_SWATBackendBase):
     compiled plan and one :meth:`~repro.core.plan.PlanBatch.execute` pass
     runs the whole stack, bit-identical per head to the per-request
     :meth:`~repro.core.simulator.SWATSimulator.run` loop it replaced.
-    Timing/traffic come from the batch-level accounting below (the whole
-    dispatch streams back to back, one pipeline fill across all groups), not
-    from per-group :meth:`~repro.core.simulator.SWATSimulator.run_batch`
-    reports.
+    Timing/traffic come from the batch-level accounting below: the whole
+    dispatch streams back to back, one pipeline fill across all groups.
     """
 
     name = "simulator"
@@ -859,7 +838,7 @@ class FusedSoftwareBackend(AttentionBackend):
             functional = [(index, request) for index, request in members if request.is_functional]
             if not functional:
                 continue
-            plan = self.plan_cache.plan(self.config, seq_len)
+            plan = self.plan_cache.lookup(self.config, seq_len)
             items = []
             replicated = []
             for _, request in functional:

@@ -4,15 +4,15 @@ Compiling an execution plan is a per-shape cost (one vectorized pass, plus
 the seeded random-table draws for BigBird-style configs).  A served system
 repeating the same shapes millions of times should pay it once:
 :class:`PlanCache` memoises ``(config fingerprint, seq_len) ->``
-:class:`CachedPlan` with an LRU bound, hit/miss/eviction counters and
-thread-safe lookup (callers may share one cache across threads).
+:class:`~repro.core.plan.ExecutionPlan` with an LRU bound, hit/miss/eviction
+counters and thread-safe lookup (callers may share one cache across threads).
+:meth:`PlanCache.lookup` is its one entry point: every consumer (simulator,
+model-plan compiler, serving backends, experiments) resolves plans through
+it, so wrapping it on an instance observes every plan resolution.
 
-Since the plan-IR refactor the cache stores the compact compiled
-:class:`~repro.core.plan.ExecutionPlan` arrays — a few dense numpy matrices
-rather than ``seq_len`` tuple-backed ``RowPlan`` objects — so entries are
-smaller and hits hand the simulator something it can execute directly.  The
-legacy ``scheduler`` / ``plans`` views are materialised lazily for consumers
-that still want per-row objects.
+Entries are the compact compiled plan arrays — a few dense numpy vectors
+and matrices — so a hit hands the simulator something it can execute
+directly.
 
 The cached schedule is deterministic — the random-attention table is a
 design-time parameter fixed by ``config.random_seed`` — so a cache hit is
@@ -31,16 +31,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property
 
 from repro.core.config import SWATConfig
 from repro.core.plan import ExecutionPlan, compile_plan
-from repro.core.scheduler import RowMajorScheduler, RowPlan
 from repro.telemetry.bus import NULL_BUS
 from repro.telemetry.events import PlanCacheLookup
 
-__all__ = ["config_fingerprint", "CachedPlan", "KVResidency", "PlanCache"]
+__all__ = ["config_fingerprint", "KVResidency", "PlanCache"]
 
 
 def config_fingerprint(config: SWATConfig) -> "tuple[object, ...]":
@@ -50,38 +47,6 @@ def config_fingerprint(config: SWATConfig) -> "tuple[object, ...]":
     (kept as the serving-layer name for the cache key).
     """
     return config.schedule_fingerprint()
-
-
-@dataclass(frozen=True, eq=False)
-class CachedPlan:
-    """One cached schedule: the compiled plan plus lazy legacy views."""
-
-    config: SWATConfig
-    plan: ExecutionPlan
-
-    @property
-    def seq_len(self) -> int:
-        """Sequence length this schedule covers."""
-        return self.plan.seq_len
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the compiled plan arrays."""
-        return self.plan.nbytes
-
-    @cached_property
-    def scheduler(self) -> RowMajorScheduler:
-        """Scheduler view wrapping the cached plan (built on first access)."""
-        return RowMajorScheduler(self.config, self.plan.seq_len, plan=self.plan)
-
-    @property
-    def plans(self) -> "tuple[RowPlan, ...]":
-        """Per-row :class:`RowPlan` view (materialised on first access).
-
-        Backed by the scheduler view's own cache, so one tuple is retained
-        per entry no matter how it is reached.
-        """
-        return self.scheduler.plan_view()
 
 
 class PlanCache:
@@ -98,7 +63,7 @@ class PlanCache:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[tuple, CachedPlan]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
         self._lock = threading.Lock()
         self._bus = bus if bus is not None else NULL_BUS
         self._run_id = run_id
@@ -115,18 +80,15 @@ class PlanCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def plan(self, config: SWATConfig, seq_len: int) -> ExecutionPlan:
-        """Return the compiled :class:`ExecutionPlan` for ``(config, seq_len)``.
+    def lookup(self, config: SWATConfig, seq_len: int) -> ExecutionPlan:
+        """Return the compiled plan for ``(config, seq_len)``, compiling it on a miss.
 
-        The batched dispatch path resolves exactly one plan per
-        ``(config, seq_len)`` group of a dispatch and stacks every head of
-        the group onto it (:class:`repro.core.plan.PlanBatch`); this helper
-        is that path's entry point — one lookup per group, not per request.
+        A hit returns the identical :class:`~repro.core.plan.ExecutionPlan`
+        object the miss compiled.  Batched dispatch resolves one plan per
+        ``(config, seq_len)`` group and stacks every head of the group onto
+        it (:class:`repro.core.plan.PlanBatch`) — one lookup per group, not
+        per request.
         """
-        return self.lookup(config, seq_len).plan
-
-    def lookup(self, config: SWATConfig, seq_len: int) -> CachedPlan:
-        """Return the schedule for ``(config, seq_len)``, compiling it on a miss."""
         key = (config_fingerprint(config), seq_len)
         with self._lock:
             entry = self._entries.get(key)
@@ -149,7 +111,7 @@ class PlanCache:
         # Compile outside the lock: plan compilation is the expensive part
         # and concurrent workers must not serialise on it.  A racing double
         # build is benign (both results are identical); last write wins.
-        entry = CachedPlan(config=config, plan=compile_plan(config, seq_len))
+        entry = compile_plan(config, seq_len)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

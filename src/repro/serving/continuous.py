@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -275,16 +275,12 @@ class ContinuousBatcher:
         self.admission = admission
         self.policy = policy
         self.kv_residency = kv_residency
-        from collections import deque
-
         self._waiting: "deque[AttentionRequest]" = deque()
         self.running: "list[list[InFlightRequest]]" = [[] for _ in range(num_shards)]
         self._admission_ids = 0
 
     def submit(self, requests: "list[AttentionRequest]") -> None:
         """Queue ``requests``; admission order is ``(arrival_time, submit order)``."""
-        from collections import deque
-
         ordered = sorted(
             list(self._waiting) + list(requests),
             key=lambda request: (request.arrival_time, request.request_id),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attention.dense import dense_attention
 from repro.attention.masks import swat_window_mask
@@ -11,7 +13,31 @@ from repro.core.power import PowerModel
 from repro.core.resources import estimate_resources
 from repro.experiments.table2_resources import PAPER_UTILISATION, standard_configurations
 from repro.numerics.error import compare
+from repro.numerics.floating import precision_from_name, quantize
 from repro.workload.generator import attention_inputs
+from tests.core.schedule_oracle import legacy_row_plans
+
+
+def _row_loop_reference(q, k, v, config, subtract_max):
+    """The seed functional model: a quantized loop over the legacy row plans.
+
+    Each row gathers its ``attended_keys`` in ascending order, which fixes
+    the order every rounded reduction adds its terms in.
+    """
+    precision = config.precision
+    scale = 1.0 / np.sqrt(config.head_dim)
+    q_stored, k_stored, v_stored = (quantize(x, precision) for x in (q, k, v))
+    output = np.empty_like(q_stored)
+    for plan in legacy_row_plans(config, q.shape[0]):
+        keys = list(plan.attended_keys)
+        scores = quantize((k_stored[keys] @ q_stored[plan.row]) * scale, precision)
+        if subtract_max:
+            scores = quantize(scores - scores.max(), precision)
+        weights = quantize(np.exp(scores), precision)
+        z_unscaled = quantize(weights @ v_stored[keys], precision)
+        row_sum = float(quantize(weights.sum(), precision))
+        output[plan.row] = quantize(z_unscaled / row_sum, precision)
+    return output
 
 
 class TestFunctionalModel:
@@ -43,6 +69,47 @@ class TestFunctionalModel:
         a = swat_functional_attention(q, k, v, config, subtract_max=False)
         b = swat_functional_attention(q, k, v, config, subtract_max=True)
         np.testing.assert_allclose(a, b, atol=1e-5)
+
+    @pytest.mark.parametrize("subtract_max", [False, True], ids=["raw", "stable"])
+    @given(
+        window_tokens=st.sampled_from([2, 4, 8, 16]),
+        num_global=st.integers(0, 3),
+        num_random=st.integers(0, 5),
+        random_seed=st.integers(0, 3),
+        seq_len=st.integers(1, 40),
+        precision=st.sampled_from(["fp16", "fp32"]),
+        data_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_bit_identical_to_legacy_row_loop(
+        self,
+        subtract_max,
+        window_tokens,
+        num_global,
+        num_random,
+        random_seed,
+        seq_len,
+        precision,
+        data_seed,
+    ):
+        config = SWATConfig(
+            head_dim=4,
+            window_tokens=window_tokens,
+            num_global_tokens=num_global,
+            num_random_tokens=num_random,
+            random_seed=random_seed,
+            precision=precision_from_name(precision),
+        )
+        rng = np.random.default_rng(data_seed)
+        q, k = rng.choice([-1.0, 0.0, 1.0], size=(2, seq_len, 4))
+        # Huge V entries of both signs cancel inside the weighted sum over
+        # keys, so at fp32 the result depends on the order the keys are
+        # added in; fp16 keeps them small enough not to overflow.
+        huge = 2.0**8 if precision == "fp16" else 2.0**40
+        v = rng.choice([-1.0, 1.0], size=(seq_len, 4)) * rng.choice([huge, 1.0], size=(seq_len, 4))
+        expected = _row_loop_reference(q, k, v, config, subtract_max)
+        actual = swat_functional_attention(q, k, v, config, subtract_max=subtract_max)
+        assert np.array_equal(actual, expected)
 
     def test_head_dim_mismatch_raises(self):
         q, k, v = attention_inputs(16, 8)

@@ -81,6 +81,13 @@ class TestCycleCounts:
         model = SWATPipelineModel(SWATConfig.longformer())
         assert model.attention_cycles(1024, num_heads=3) == 3 * model.attention_cycles(1024, 1)
 
+    def test_batch_pays_fill_once(self):
+        model = SWATPipelineModel(SWATConfig(head_dim=16, window_tokens=8))
+        batched = model.batch_attention_cycles([(32, 1)] * 4)
+        fill = model.timing.pipeline_depth_cycles
+        ii = model.initiation_interval
+        assert 4 * model.attention_cycles(32) - batched == 3 * (fill - ii)
+
     def test_latency_seconds_uses_clock(self):
         fast = SWATPipelineModel(SWATConfig(clock_mhz=600.0))
         slow = SWATPipelineModel(SWATConfig(clock_mhz=300.0))

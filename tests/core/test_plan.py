@@ -1,8 +1,9 @@
 """Tests for the compiled execution-plan IR.
 
 The load-bearing property: the compiled :class:`~repro.core.plan.ExecutionPlan`
-view must be field-by-field identical to the legacy per-row construction for
-every configuration — the whole refactor rests on that equivalence.
+arrays, read row by row, must be field-by-field identical to the legacy
+per-row construction (``tests/core/schedule_oracle.py``) for every
+configuration — the whole refactor rests on that equivalence.
 """
 
 import numpy as np
@@ -16,10 +17,9 @@ from repro.core.plan import (
     compile_plan,
     execute_plan_attention,
     execute_plan_attention_rows,
-    legacy_row_plans,
 )
-from repro.core.scheduler import RowMajorScheduler
 from repro.workload.generator import attention_inputs
+from tests.core.schedule_oracle import compiled_row_plans, legacy_row_plans
 
 ROW_PLAN_FIELDS = (
     "row",
@@ -45,7 +45,7 @@ def _config(window_tokens=8, num_global=0, num_random=0, head_dim=16, seed=0):
 
 def assert_plans_identical(config, seq_len):
     legacy = legacy_row_plans(config, seq_len)
-    compiled = compile_plan(config, seq_len).row_plans()
+    compiled = compiled_row_plans(compile_plan(config, seq_len))
     assert len(legacy) == len(compiled) == seq_len
     for reference, candidate in zip(legacy, compiled):
         for field in ROW_PLAN_FIELDS:
@@ -82,10 +82,9 @@ class TestCompiledPlanMatchesLegacy:
     def test_property_no_random_attention(self, seq_len):
         assert_plans_identical(_config(window_tokens=8, num_global=3, num_random=0), seq_len)
 
-    def test_scheduler_view_equals_legacy(self):
+    def test_compiled_row_view_equals_legacy(self):
         config = _config(window_tokens=8, num_global=2, num_random=2)
-        scheduler = RowMajorScheduler(config, 48)
-        assert list(scheduler.plans()) == legacy_row_plans(config, 48)
+        assert compiled_row_plans(compile_plan(config, 48)) == legacy_row_plans(config, 48)
 
     def test_global_tokens_beyond_seq_len_clipped(self):
         assert_plans_identical(_config(window_tokens=4, num_global=12), 6)
@@ -105,10 +104,21 @@ class TestPlanArrays:
         ]
         np.testing.assert_array_equal(np.diff(plan.cum_kv_loads), per_row)
 
-    def test_traffic_matches_scheduler_formula(self):
+    def test_traffic_matches_legacy_fetch_formula(self):
         config = _config(window_tokens=8, num_global=3, num_random=2)
         plan = compile_plan(config, 64)
-        assert plan.traffic_bytes() == RowMajorScheduler(config, 64).traffic_bytes()
+        legacy = legacy_row_plans(config, 64)
+        preloads = len(legacy[0].global_keys)
+        kv_rows = preloads + sum(len(p.keys_loaded) for p in legacy)
+        redundant_rows = preloads + sum(len(p.random_keys) for p in legacy)
+        row_bytes = config.kv_row_bytes
+        assert plan.traffic_bytes() == {
+            "q": 64 * row_bytes,
+            "k": kv_rows * row_bytes,
+            "v": kv_rows * row_bytes,
+            "output": 64 * row_bytes,
+            "redundant_kv": 2 * redundant_rows * row_bytes,
+        }
 
     def test_cum_cycles_matches_pipeline_prefix(self):
         from repro.core.pipeline import SWATPipelineModel
@@ -122,7 +132,7 @@ class TestPlanArrays:
     def test_key_indices_rows_cover_attended_keys_in_core_order(self):
         config = _config(window_tokens=8, num_global=2, num_random=2)
         plan = compile_plan(config, 40)
-        for row_plan in plan.row_plans():
+        for row_plan in legacy_row_plans(config, 40):
             row = row_plan.row
             count = int(plan.key_counts[row])
             indices = plan.key_indices[row, :count]
@@ -376,6 +386,27 @@ class TestPlanBatch:
         assert outputs[1].shape == (2, 40, 16)
         assert np.array_equal(outputs[0], execute_plan_attention(plan, *single))
         assert np.array_equal(outputs[1], execute_plan_attention(plan, *stacked_item))
+
+    def test_items_bit_identical_to_per_item_simulator_run(self):
+        from repro.core.simulator import SWATSimulator
+
+        simulator = SWATSimulator(_config(window_tokens=8, num_random=2))
+        items = [attention_inputs(48, 16, seed=seed) for seed in (0, 1, 2)]
+        batch = PlanBatch.from_items(simulator.resolve_plan(48), items)
+        for item, output in zip(items, batch.split(batch.execute())):
+            assert np.array_equal(output, simulator.run(*item).output)
+
+    def test_multi_head_items_execute_every_head(self):
+        from repro.core.simulator import SWATSimulator
+
+        simulator = SWATSimulator(_config(window_tokens=8, num_global=2))
+        heads = [attention_inputs(24, 16, seed=seed) for seed in (5, 6)]
+        stacked = tuple(np.stack([head[axis] for head in heads]) for axis in range(3))
+        batch = PlanBatch.from_items(simulator.resolve_plan(24), [stacked])
+        (output,) = batch.split(batch.execute())
+        assert output.shape == (2, 24, 16)
+        for index, item in enumerate(heads):
+            assert np.array_equal(output[index], simulator.run(*item).output)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="at least one item"):

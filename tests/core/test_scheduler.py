@@ -1,4 +1,4 @@
-"""Tests for the row-major dataflow scheduler."""
+"""Tests for the row-major dataflow schedule, read off the compiled plan arrays."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SWATConfig
-from repro.core.scheduler import RowMajorScheduler
+from repro.core.plan import compile_plan
 
 
 def _config(window_tokens=8, num_global=0, num_random=0, head_dim=16):
@@ -18,144 +18,155 @@ def _config(window_tokens=8, num_global=0, num_random=0, head_dim=16):
     )
 
 
+def _window(plan, row):
+    return tuple(range(int(plan.window_lo[row]), int(plan.window_hi[row])))
+
+
+def _randoms(plan, row):
+    return plan.random_keys[row, : plan.random_counts[row]]
+
+
+def _attended(plan, row):
+    return plan.key_indices[row, : plan.key_counts[row]]
+
+
 class TestWindowKeys:
     def test_interior_row_covers_2w_keys(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8), seq_len=64)
-        assert scheduler.window_keys(32) == tuple(range(28, 36))
+        plan = compile_plan(_config(window_tokens=8), seq_len=64)
+        assert _window(plan, 32) == tuple(range(28, 36))
 
     def test_window_never_exceeds_2w_keys(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8), seq_len=64)
-        assert max(len(scheduler.window_keys(row)) for row in range(64)) == 8
+        plan = compile_plan(_config(window_tokens=8), seq_len=64)
+        assert int((plan.window_hi - plan.window_lo).max()) == 8
 
     def test_row_always_attends_itself(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=4), seq_len=32)
-        for row in range(32):
-            assert row in scheduler.window_keys(row)
+        plan = compile_plan(_config(window_tokens=4), seq_len=32)
+        rows = np.arange(32)
+        assert np.all((plan.window_lo <= rows) & (rows < plan.window_hi))
 
     def test_boundary_rows_clipped(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8), seq_len=64)
-        assert scheduler.window_keys(0) == tuple(range(0, 4))
-        assert scheduler.window_keys(63) == tuple(range(59, 64))
+        plan = compile_plan(_config(window_tokens=8), seq_len=64)
+        assert _window(plan, 0) == tuple(range(0, 4))
+        assert _window(plan, 63) == tuple(range(59, 64))
 
-    def test_out_of_range_row_raises(self):
-        scheduler = RowMajorScheduler(_config(), seq_len=16)
-        with pytest.raises(ValueError):
-            scheduler.window_keys(16)
+    def test_row_arrays_cover_exactly_seq_len_rows(self):
+        plan = compile_plan(_config(num_random=2), seq_len=16)
+        for array in (plan.window_lo, plan.window_hi, plan.new_lo, plan.new_hi):
+            assert array.shape == (16,)
+        assert plan.random_keys.shape[0] == plan.key_indices.shape[0] == 16
 
     @given(seq_len=st.integers(4, 80), window_tokens=st.sampled_from([2, 4, 8, 16]))
     @settings(max_examples=25, deadline=None)
     def test_property_window_keys_fit_fifo_without_collision(self, seq_len, window_tokens):
-        scheduler = RowMajorScheduler(_config(window_tokens=window_tokens), seq_len=seq_len)
+        plan = compile_plan(_config(window_tokens=window_tokens), seq_len=seq_len)
         for row in range(seq_len):
-            keys = scheduler.window_keys(row)
-            slots = [key % window_tokens for key in keys]
+            slots = [key % window_tokens for key in _window(plan, row)]
             assert len(slots) == len(set(slots))
 
 
 class TestPlans:
     def test_one_new_window_key_per_row_at_steady_state(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8), seq_len=64)
-        plans = scheduler.plans()
-        steady = plans[10:-5]
-        assert all(len(plan.new_window_keys) == 1 for plan in steady)
+        plan = compile_plan(_config(window_tokens=8), seq_len=64)
+        new_keys = plan.new_hi - plan.new_lo
+        assert np.all(new_keys[10:-5] == 1)
 
     def test_every_key_loaded_exactly_once_window_only(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8), seq_len=48)
-        plans = scheduler.plans()
-        loaded = [key for plan in plans for key in plan.new_window_keys]
+        plan = compile_plan(_config(window_tokens=8), seq_len=48)
+        loaded = [key for lo, hi in zip(plan.new_lo, plan.new_hi) for key in range(lo, hi)]
         assert sorted(loaded) == list(range(48))
 
-    def test_attended_keys_sorted_unique(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8, num_global=2), seq_len=32)
-        for plan in scheduler.plans():
-            attended = plan.attended_keys
-            assert list(attended) == sorted(set(attended))
+    def test_attended_keys_unique(self):
+        plan = compile_plan(_config(window_tokens=8, num_global=2), seq_len=32)
+        for row in range(32):
+            attended = _attended(plan, row)
+            assert len(set(attended.tolist())) == attended.size
 
     def test_global_keys_in_every_plan(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=4, num_global=3), seq_len=32)
-        for plan in scheduler.plans():
-            assert set(plan.global_keys) == {0, 1, 2}
-            assert set(plan.global_keys).issubset(plan.attended_keys)
+        plan = compile_plan(_config(window_tokens=4, num_global=3), seq_len=32)
+        assert plan.global_keys.tolist() == [0, 1, 2]
+        for row in range(32):
+            assert {0, 1, 2} <= set(_attended(plan, row).tolist())
 
     def test_random_keys_outside_window_and_globals(self):
         config = _config(window_tokens=8, num_global=2, num_random=3)
-        scheduler = RowMajorScheduler(config, seq_len=64)
-        for plan in scheduler.plans():
-            for key in plan.random_keys:
-                assert key not in plan.window_keys
+        plan = compile_plan(config, seq_len=64)
+        for row in range(64):
+            for key in _randoms(plan, row):
+                assert key not in _window(plan, row)
                 assert key not in plan.global_keys
 
     def test_random_table_deterministic_per_seed(self):
         config = _config(window_tokens=8, num_random=2)
-        first = RowMajorScheduler(config, seq_len=32).random_keys(10)
-        second = RowMajorScheduler(config, seq_len=32).random_keys(10)
-        assert first == second
+        first = compile_plan(config, seq_len=32).random_keys
+        second = compile_plan(config, seq_len=32).random_keys
+        assert np.array_equal(first, second)
 
     def test_random_count_respected(self):
         config = _config(window_tokens=8, num_random=3)
-        scheduler = RowMajorScheduler(config, seq_len=64)
-        assert all(len(scheduler.random_keys(row)) == 3 for row in range(64))
+        plan = compile_plan(config, seq_len=64)
+        assert np.all(plan.random_counts == 3)
 
     def test_invalid_seq_len_raises(self):
         with pytest.raises(ValueError):
-            RowMajorScheduler(_config(), seq_len=0)
+            compile_plan(_config(), seq_len=0)
 
     def test_reloaded_keys_subset_of_resident_or_global_randoms(self):
-        """reloaded_keys ⊆ random_keys ∩ (resident ∪ global), row by row.
+        """Reloads ⊆ random keys ∩ (resident ∪ global), row by row.
 
-        Regression test: plans() used to emit *all* random keys as reloaded,
-        wrongly including random keys that were never resident (ahead of the
-        window and not global) and therefore are first-time loads.
+        Regression test: the schedule used to mark *all* random keys as
+        reloaded, wrongly including random keys that were never resident
+        (ahead of the window and not global) and therefore are first-time
+        loads.
         """
         config = _config(window_tokens=8, num_global=2, num_random=3)
-        scheduler = RowMajorScheduler(config, seq_len=64)
-        resident: set = set()
-        global_keys = set(scheduler.global_keys)
+        plan = compile_plan(config, seq_len=64)
+        global_keys = set(plan.global_keys.tolist())
         saw_first_time_random_load = False
-        for plan in scheduler.plans():
-            resident_before = set(resident)
-            resident.update(plan.new_window_keys)
-            allowed = set(plan.random_keys) & (resident_before | global_keys)
-            assert set(plan.reloaded_keys) <= allowed
-            if set(plan.random_keys) - set(plan.reloaded_keys):
+        for row in range(64):
+            count = plan.random_counts[row]
+            randoms = set(_randoms(plan, row).tolist())
+            reloaded = set(plan.random_keys[row, :count][plan.reload_mask[row, :count]].tolist())
+            # The new-key ranges tile the sequence, so the keys resident before
+            # this row's LOAD stage are exactly [0, new_lo).
+            resident_before = set(range(int(plan.new_lo[row])))
+            assert reloaded <= randoms & (resident_before | global_keys)
+            if randoms - reloaded:
                 saw_first_time_random_load = True
         # The fix is only observable if some random key ever points ahead of
         # the window: make sure this workload exercises that case.
         assert saw_first_time_random_load
 
     def test_reloaded_keys_empty_without_random_attention(self):
-        scheduler = RowMajorScheduler(_config(window_tokens=8, num_global=2), seq_len=48)
-        assert all(plan.reloaded_keys == () for plan in scheduler.plans())
+        plan = compile_plan(_config(window_tokens=8, num_global=2), seq_len=48)
+        assert not plan.reload_mask.any()
 
     def test_keys_loaded_covers_every_fetch_of_the_row(self):
-        """keys_loaded = new window keys + every random refresh of the row.
+        """Per-row fetches = new window keys + every random refresh of the row.
 
         First-time random fetches (keys ahead of the window) are loads too,
         even though they are not *re*loads.
         """
         config = _config(window_tokens=8, num_global=2, num_random=2)
-        scheduler = RowMajorScheduler(config, seq_len=48)
-        for plan in scheduler.plans():
-            expected = tuple(sorted(set(plan.new_window_keys) | set(plan.random_keys)))
-            assert plan.keys_loaded == expected
-            assert set(plan.reloaded_keys) <= set(plan.keys_loaded)
+        plan = compile_plan(config, seq_len=48)
+        expected = (plan.new_hi - plan.new_lo) + plan.random_counts
+        np.testing.assert_array_equal(np.diff(plan.cum_kv_loads), expected)
+        assert np.all(plan.random_keys[plan.reload_mask] >= 0)
 
 
 class TestTraffic:
     def test_window_only_traffic_is_exactly_once(self):
         config = _config(window_tokens=8, head_dim=16)
-        scheduler = RowMajorScheduler(config, seq_len=128)
-        traffic = scheduler.traffic_bytes()
+        traffic = compile_plan(config, seq_len=128).traffic_bytes()
         assert traffic["k"] == 128 * 16 * config.element_bytes
         assert traffic["redundant_kv"] == 0
 
     def test_random_attention_adds_redundant_traffic(self):
         config = _config(window_tokens=8, num_random=2, head_dim=16)
-        traffic = RowMajorScheduler(config, seq_len=64).traffic_bytes()
+        traffic = compile_plan(config, seq_len=64).traffic_bytes()
         assert traffic["redundant_kv"] > 0
         assert traffic["k"] > 64 * 16 * config.element_bytes
 
     def test_q_and_output_traffic(self):
         config = _config(window_tokens=8, head_dim=16)
-        traffic = RowMajorScheduler(config, seq_len=32).traffic_bytes()
+        traffic = compile_plan(config, seq_len=32).traffic_bytes()
         assert traffic["q"] == traffic["output"] == 32 * config.kv_row_bytes

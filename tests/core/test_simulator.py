@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attention.dense import dense_attention
-from repro.attention.masks import band_mask, swat_window_mask
+from repro.attention.masks import swat_window_mask
 from repro.core.config import SWATConfig
 from repro.core.simulator import SWATSimulator
 from repro.workload.generator import attention_inputs
@@ -38,12 +38,10 @@ class TestFunctionalCorrectness:
         q, k, v = attention_inputs(40, 16, seed=2)
         simulator = SWATSimulator(config)
         result = simulator.run(q, k, v)
-        from repro.core.scheduler import RowMajorScheduler
-
-        scheduler = RowMajorScheduler(config, 40)
+        plan = simulator.resolve_plan(40)
         mask = np.zeros((40, 40), dtype=bool)
-        for plan in scheduler.plans():
-            mask[plan.row, list(plan.attended_keys)] = True
+        rows, slots = np.nonzero(plan.key_indices >= 0)
+        mask[rows, plan.key_indices[rows, slots]] = True
         expected = dense_attention(q, k, v, mask=mask)
         np.testing.assert_allclose(result.output, expected, atol=1e-9)
 
@@ -170,64 +168,3 @@ class TestTimingEstimates:
         """FP16 SWAT at 16K tokens should land in the ~10-12 ms band (Figure 3)."""
         report = SWATSimulator(SWATConfig.longformer()).estimate(16384)
         assert 5e-3 < report.seconds < 20e-3
-
-
-class TestRunBatch:
-    """Batched simulation: one stacked pass, batch-amortised timing."""
-
-    def _batch(self, simulator, seq_len, seeds):
-        from repro.core.plan import PlanBatch
-
-        items = [attention_inputs(seq_len, simulator.config.head_dim, seed=s) for s in seeds]
-        return items, PlanBatch.from_items(simulator.resolve_plan(seq_len), items)
-
-    def test_outputs_bit_identical_to_per_item_run(self):
-        simulator = SWATSimulator(_small_config(num_random_tokens=2))
-        items, batch = self._batch(simulator, 48, seeds=[0, 1, 2])
-        result = simulator.run_batch(batch)
-        for item, output in zip(items, result.outputs):
-            assert np.array_equal(output, simulator.run(*item).output)
-
-    def test_timing_pays_fill_once(self):
-        simulator = SWATSimulator(_small_config())
-        _, batch = self._batch(simulator, 32, seeds=[0, 1, 2, 3])
-        batched = simulator.run_batch(batch).timing.cycles
-        fill = simulator.pipeline.timing.pipeline_depth_cycles
-        ii = simulator.pipeline.initiation_interval
-        singles = 4 * simulator.estimate(32).cycles
-        assert singles - batched == 3 * (fill - ii)
-        assert batched == simulator.pipeline.batch_attention_cycles([(32, 1)] * 4)
-
-    def test_head_counts_weight_timing_and_traffic(self):
-        simulator = SWATSimulator(_small_config())
-        _, batch = self._batch(simulator, 32, seeds=[0, 1])
-        weighted = simulator.run_batch(batch, head_counts=[2, 3])
-        assert weighted.head_counts == (2, 3)
-        assert weighted.timing.num_heads == 5
-        per_head = simulator.estimate_traffic(32)
-        assert weighted.traffic.q_bytes_loaded == 5 * per_head.q_bytes_loaded
-        assert weighted.traffic.redundant_kv_bytes == 5 * per_head.redundant_kv_bytes
-
-    def test_multi_head_items_execute_every_head(self):
-        from repro.core.plan import PlanBatch
-
-        simulator = SWATSimulator(_small_config(num_global_tokens=2))
-        heads = [attention_inputs(24, 16, seed=s) for s in (5, 6)]
-        stacked = tuple(np.stack([h[axis] for h in heads]) for axis in range(3))
-        batch = PlanBatch.from_items(simulator.resolve_plan(24), [stacked])
-        result = simulator.run_batch(batch)
-        assert result.outputs[0].shape == (2, 24, 16)
-        for index, item in enumerate(heads):
-            assert np.array_equal(result.outputs[0][index], simulator.run(*item).output)
-
-    def test_foreign_plan_and_bad_head_counts_rejected(self):
-        from repro.core.plan import PlanBatch, compile_plan
-
-        simulator = SWATSimulator(_small_config())
-        foreign_plan = compile_plan(_small_config(window_tokens=4), 16)
-        batch = PlanBatch.from_items(foreign_plan, [attention_inputs(16, 16, seed=0)])
-        with pytest.raises(ValueError, match="fingerprint"):
-            simulator.run_batch(batch)
-        _, good = self._batch(simulator, 16, seeds=[0])
-        with pytest.raises(ValueError, match="head_counts"):
-            simulator.run_batch(good, head_counts=[1, 2])

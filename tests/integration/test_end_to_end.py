@@ -9,7 +9,7 @@ from repro.attention.sliding_chunks import sliding_chunks_attention
 from repro.attention.window import window_attention, window_attention_banded
 from repro.core.config import SWATConfig
 from repro.core.functional import swat_functional_attention
-from repro.core.scheduler import RowMajorScheduler
+from repro.core.plan import compile_plan
 from repro.core.simulator import SWATSimulator
 from repro.gpu.dense_runner import DenseAttentionGPU
 from repro.numerics.error import compare
@@ -40,9 +40,10 @@ class TestAllImplementationsAgree:
         seq_len = 30
         q, k, v = attention_inputs(seq_len, 8, seed=2)
         result = SWATSimulator(config).run(q, k, v)
+        plan = compile_plan(config, seq_len)
         mask = np.zeros((seq_len, seq_len), dtype=bool)
-        for plan in RowMajorScheduler(config, seq_len).plans():
-            mask[plan.row, list(plan.attended_keys)] = True
+        rows, slots = np.nonzero(plan.key_indices >= 0)
+        mask[rows, plan.key_indices[rows, slots]] = True
         np.testing.assert_allclose(result.output, dense_attention(q, k, v, mask=mask), atol=1e-9)
 
 

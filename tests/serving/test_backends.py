@@ -14,7 +14,6 @@ from repro.serving.backends import (
     StepBurst,
     available_backends,
     create_backend,
-    swat_batch_cycles,
 )
 from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, make_request
@@ -130,7 +129,9 @@ class TestBatchAmortisation:
         config = _config()
         simulator = SWATSimulator(config)
         requests = [AttentionRequest(seq_len=32), AttentionRequest(seq_len=48, num_heads=2)]
-        cycles = swat_batch_cycles(simulator.pipeline, requests)
+        cycles = simulator.pipeline.batch_attention_cycles(
+            [(request.seq_len, request.num_heads) for request in requests]
+        )
         assert cycles == simulator.pipeline.cycles_for_rows(32 + 2 * 48)
 
     def test_single_request_batch_equals_estimate(self):

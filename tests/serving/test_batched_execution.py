@@ -64,7 +64,7 @@ def _per_request_reference(config, plan_cache, request):
     """The pre-refactor execution shape: one executor call per head."""
     if not request.is_functional:
         return None
-    plan = plan_cache.plan(config, request.seq_len)
+    plan = plan_cache.lookup(config, request.seq_len)
     scale = 1.0 / np.sqrt(config.head_dim)
     if request.q.ndim == 2:
         return execute_plan_attention(plan, request.q, request.k, request.v, scale=scale)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.config import SWATConfig
-from repro.core.scheduler import RowMajorScheduler
+from repro.core.plan import ExecutionPlan
 from repro.core.simulator import SWATSimulator
 from repro.serving.cache import PlanCache, config_fingerprint
 from repro.workload.generator import attention_inputs
+from tests.core.schedule_oracle import compiled_row_plans, legacy_row_plans
 
 
 def _config(**overrides):
@@ -103,10 +104,18 @@ class TestCachedPlanCorrectness:
     def test_cached_plans_equal_fresh_plans(self):
         cache = PlanCache()
         config = _config(num_global_tokens=2, num_random_tokens=2)
-        entry = cache.lookup(config, 40)
-        fresh = RowMajorScheduler(config, 40)
-        assert entry.seq_len == 40
-        assert entry.plans == tuple(fresh.plans())
+        plan = cache.lookup(config, 40)
+        assert plan.seq_len == 40
+        assert compiled_row_plans(plan) == legacy_row_plans(config, 40)
+
+    def test_hit_returns_the_identical_execution_plan(self):
+        cache = PlanCache()
+        config = _config(num_random_tokens=2)
+        miss = cache.lookup(config, 24)
+        hit = cache.lookup(config, 24)
+        assert isinstance(miss, ExecutionPlan)
+        assert hit is miss
+        assert (cache.misses, cache.hits) == (1, 1)
 
     def test_cached_plan_output_bit_identical(self):
         """A cache-served simulation equals an uncached one bit for bit."""
@@ -136,3 +145,76 @@ class TestCachedPlanCorrectness:
         assert first == second
         assert cache.hits == 1
         assert cache.misses == 1
+
+
+def _traced_cache():
+    """A cache whose ``lookup`` is wrapped on the instance, like a span tracer."""
+    cache = PlanCache()
+    original = cache.lookup
+    returned = []
+
+    def lookup(config, seq_len):
+        plan = original(config, seq_len)
+        returned.append(plan)
+        return plan
+
+    cache.lookup = lookup
+    return cache, returned
+
+
+class TestLookupIsTheOneEntryPoint:
+    """Every plan resolution goes through ``PlanCache.lookup`` on the instance.
+
+    A tracer that wraps ``lookup`` must see each hit and miss the counters
+    record — no consumer may reach a schedule through another method.
+    """
+
+    def _assert_routed(self, cache, returned):
+        assert returned, "no plan resolved through lookup"
+        assert len(returned) == cache.hits + cache.misses
+        assert all(isinstance(plan, ExecutionPlan) for plan in returned)
+
+    def test_simulator_resolve_plan(self):
+        cache, returned = _traced_cache()
+        simulator = SWATSimulator(_config(num_random_tokens=2), plan_cache=cache)
+        simulator.resolve_plan(32)
+        simulator.run(*attention_inputs(32, 16, seed=0))
+        simulator.estimate_traffic(48)
+        assert len(returned) == 3
+        self._assert_routed(cache, returned)
+
+    def test_model_plan_compiler(self):
+        from repro.model.plan import ModelPlanCompiler
+        from repro.model.spec import LayerGeometry, ModelSpec
+
+        cache, returned = _traced_cache()
+        spec = ModelSpec(
+            seq_len=24,
+            layers=(LayerGeometry(window_tokens=8), LayerGeometry(window_tokens=4)),
+            num_heads=2,
+            head_dim=16,
+        )
+        ModelPlanCompiler(base_config=_config(), plan_cache=cache).compile(spec)
+        assert len(returned) == 2  # one lookup per distinct layer geometry
+        self._assert_routed(cache, returned)
+
+    @pytest.mark.parametrize("name", ["simulator", "fused"])
+    def test_backend_execute_batch(self, name):
+        from repro.model.spec import ModelSpec
+        from repro.serving.backends import create_backend
+        from repro.serving.request import make_forward_request, make_request
+
+        cache, returned = _traced_cache()
+        config = _config()
+        backend = create_backend(name, config=config, plan_cache=cache)
+        spec = ModelSpec.uniform(2, 24, window_tokens=8, num_heads=2, head_dim=16)
+        batch = [
+            make_request(32, 16, seed=0),
+            make_request(32, 16, seed=1, num_heads=2),
+            make_request(48, 16, seed=2),
+            make_forward_request(spec),
+        ]
+        result = backend.execute_batch(batch)
+        assert all(output is not None for output in result.outputs)
+        self._assert_routed(cache, returned)
+        assert {plan.seq_len for plan in returned} == {24, 32, 48}
