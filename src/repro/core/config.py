@@ -170,15 +170,6 @@ class SWATConfig:
         """True when global-attention cores are instantiated."""
         return self.num_global_tokens > 0
 
-    def global_token_indices(self, seq_len: int) -> "tuple[int, ...]":
-        """Resolve the global-token indices for a sequence of ``seq_len`` tokens.
-
-        By convention (Longformer/BigBird) the leading tokens are global.
-        """
-        if seq_len <= 0:
-            raise ValueError("seq_len must be positive")
-        return tuple(range(min(self.num_global_tokens, seq_len)))
-
     def schedule_fingerprint(self) -> "tuple[object, ...]":
         """Hashable fingerprint of every field the row-major schedule depends on.
 

@@ -156,8 +156,8 @@ class BackendResult:
 class StepBurst:
     """Prices of a *burst* of consecutive iterations over fixed residents.
 
-    Between two scheduling events (an admission, a retirement, another shard
-    activating) the resident set of a shard is constant, so every iteration
+    Between two of a shard's scheduling events (an admission, a retirement)
+    its resident set is constant, so every iteration
     of the burst advances the same slices — the whole burst is a closed-form
     function of the residents' remaining rows.
     :meth:`AttentionBackend.step_burst` prices all of them in one call; the
@@ -178,7 +178,7 @@ class StepBurst:
     iterations:
         Burst length: iterations until the resident with the fewest
         remaining rows retires.  The scheduler may consume a prefix when an
-        admission or another shard's activation cuts the burst short.
+        admission cuts the burst short.
     """
 
     seconds: "np.ndarray"

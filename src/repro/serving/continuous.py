@@ -35,14 +35,19 @@ Two scheduler implementations produce bit-identical results
 
 ``"event"`` (default)
     Event-driven and vectorized.  A heap over per-shard activation times
-    replaces the linear scan, and between two scheduling events (an
-    admission becoming possible, a retirement, another shard activating
-    first) the resident set is fixed — the backend prices that whole *burst*
-    of iterations in one closed-form
+    replaces the linear scan, and between two of a shard's own scheduling
+    events (an admission becoming possible on it, one of its retirements)
+    its resident set is fixed — the backend prices that whole *burst* of
+    iterations in one closed-form
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
     the loop folds it into the accounting with sequential ``cumsum``\\ s that
-    reproduce the per-iteration float additions bit for bit.  Cost scales
-    with scheduling *events*, not iterations: a 100k-request diurnal trace
+    reproduce the per-iteration float additions bit for bit.  Shards run
+    ahead of each other: each burst's per-iteration results wait in a
+    per-shard buffer, and every heap pop first merges the buffered
+    iterations keyed below it in ``(start, shard)`` order — the reference
+    loop's iteration order — so records, events and shared accumulators
+    come out exactly as the reference loop produces them.  Cost scales with
+    scheduling *events*, not iterations: a 100k-request diurnal trace
     replays in seconds.
 
 ``"reference"``
@@ -81,7 +86,7 @@ import numpy as np
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
-from repro.serving.backends import REGISTRY, batch_head_rows, create_backend
+from repro.serving.backends import REGISTRY, StepBurst, batch_head_rows, create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.engine import ServingResult
 from repro.serving.request import (
@@ -389,12 +394,15 @@ class ContinuousBatcher:
             for inflight in self.running[shard]
         ]
 
-    def retire_finished(self, shard: int, now: float) -> "list[InFlightRequest]":
+    def retire_finished(
+        self, shard: int, now: float, release: bool = True
+    ) -> "list[InFlightRequest]":
         """Remove finished residents, stamping their completion instant.
 
-        Retiring a decode settles its KV residency: every block after the
-        first re-read the resident cache (one hit each), and the request's
-        bytes leave device memory.
+        Retiring a decode settles its KV residency (:meth:`release`) unless
+        ``release=False``: the event scheduler frees the slots at once but
+        settles each retirement later, at its place in the merged iteration
+        order.
         """
         retired = [inflight for inflight in self.running[shard] if inflight.finished]
         if retired:
@@ -403,11 +411,23 @@ class ContinuousBatcher:
             ]
             for inflight in retired:
                 inflight.finish_time = now
-                request = inflight.request
-                if inflight.token_boundaries is not None and self.kv_residency is not None:
-                    self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
-                    self.kv_residency.release(request.request_id)
+            if release:
+                self.release(retired)
         return retired
+
+    def release(self, retired: "list[InFlightRequest]") -> None:
+        """Settle retired decodes' KV residency.
+
+        Every block after the first re-read the resident cache (one hit
+        each), and the request's bytes leave device memory.
+        """
+        if self.kv_residency is None:
+            return
+        for inflight in retired:
+            if inflight.token_boundaries is not None:
+                request = inflight.request
+                self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
+                self.kv_residency.release(request.request_id)
 
 
 class _RunState:
@@ -776,6 +796,29 @@ def _reference_loop(state: _RunState) -> None:
         state.primed[shard] = bool(batcher.running[shard])
 
 
+@dataclass(eq=False, slots=True)
+class _BufferedBurst:
+    """One shard's priced burst, held until the merge reaches its iterations.
+
+    ``starts[j]`` is iteration ``j``'s start, the time half of its merge key
+    ``(start, shard)``, for every iteration the burst runs (a prefix of the
+    priced burst when an arrival cuts it); ``offset`` counts the iterations
+    already merged.
+    ``retired`` (empty unless the burst runs to a retirement) settles at the
+    final iteration's key.
+    """
+
+    shard: int
+    slices: "list[tuple[AttentionRequest, int, int]]"
+    burst: StepBurst
+    starts: "np.ndarray"
+    primed: bool
+    admitted: "list[InFlightRequest]"
+    retired: "list[InFlightRequest]"
+    occupancy: float
+    offset: int = 0
+
+
 def _event_loop(state: _RunState) -> None:
     """The event-driven scheduler: skip ahead, price iteration bursts.
 
@@ -786,15 +829,30 @@ def _event_loop(state: _RunState) -> None:
     queue head re-versions every empty shard, since their activations quote
     the old head's arrival.
 
-    After admitting at the popped shard the resident set is fixed until the
-    next scheduling event, so the backend prices the whole run of iterations
-    to the next retirement in one vectorized
-    :meth:`~repro.serving.backends.AttentionBackend.step_burst` call; the
-    burst is then cut short at the first iteration whose start would admit a
-    newly arrived request, or at another shard's activation.  All float
-    accounting (clock, busy time, energy, per-resident device seconds) folds
-    through sequential ``cumsum``\\ s over the same values the reference loop
-    adds one at a time, keeping every accumulator bit-identical.
+    After admitting at the popped shard its resident set is fixed until the
+    shard's own next scheduling event, so the backend prices the whole run
+    of iterations to the next retirement in one vectorized
+    :meth:`~repro.serving.backends.AttentionBackend.step_burst` call; while
+    the shard has a free slot the burst is cut short at the first iteration
+    whose start would admit the next arrival.  Shards only meet in the
+    waiting queue, and admissions happen at heap pops in global time order,
+    so each shard runs ahead of the others.  Per-resident state (rows,
+    device seconds, block stamps) is private to the shard and folds at once
+    through sequential ``cumsum``\\ s over the same values the reference
+    loop adds one at a time; the slots of a retiring burst are freed at
+    once, so the shard's next activation sees its post-retirement residents.
+
+    Everything shared — the iteration index, ``total_energy``, retirement
+    settlement (functional outputs and their plan-cache lookups, KV
+    release, completion and decode folding) and every record and event —
+    waits in a per-shard buffer (:class:`_BufferedBurst`).  The reference
+    loop's iteration sequence is sorted by ``(start, shard)``, so each pop
+    first merges every buffered iteration keyed below the popped entry, in
+    key order (:func:`_merge`); the merged stream carries the reference
+    loop's exact order and bits.  The pop's own work — admission (whose row
+    sizing may compile plans) and the burst's first pricing (which compiles
+    new residents' plans) — runs after that merge, so its plan-cache
+    lookups land in reference order too.
     """
     batcher = state.batcher
     clocks = state.clocks
@@ -802,6 +860,7 @@ def _event_loop(state: _RunState) -> None:
     quantum = state.iteration_rows
     version = [0] * num_shards
     heap: "list[tuple[float, int, int]]" = []
+    pending: "list[_BufferedBurst | None]" = [None] * num_shards
     # Hot-loop locals: the while body below runs once per burst, up to
     # hundreds of thousands of times per serve.
     shards = state.shards
@@ -809,9 +868,7 @@ def _event_loop(state: _RunState) -> None:
     rows_of = state.rows_of
     work_of = state.work_of
     bus = state.bus
-    record = state.record_iterations
     occupancy_counts = state.occupancy_counts
-    completed = state.completed
     max_batch_size = state.max_batch_size
     running = batcher.running
     next_arrival_time = batcher.next_arrival_time
@@ -834,9 +891,10 @@ def _event_loop(state: _RunState) -> None:
 
     while not batcher.done:
         while True:
-            _, shard, entry_version = heapq.heappop(heap)
+            activation, shard, entry_version = heapq.heappop(heap)
             if entry_version == version[shard]:
                 break
+        _merge(state, pending, activation, shard)
         clock = clocks[shard]
         if not running[shard]:
             next_arrival = next_arrival_time()
@@ -870,30 +928,17 @@ def _event_loop(state: _RunState) -> None:
         times = np.empty(length + 1)
         times[0] = clock.now
         times[1:] = burst.seconds
-        np.cumsum(times, out=times)
+        times.cumsum(out=times)
         if head_now is not None and free_slots(shard) > 0:
             # An admission-eligible arrival ends the burst at the first
             # iteration whose start would admit it (arrival <= start).
             length = min(
                 length, 1 + int(np.searchsorted(times[1:length], head_now, side="left"))
             )
-        other_entry = _peek_valid(heap, version)
-        if other_entry is not None:
-            # Another shard activates first: run only the iterations that
-            # start strictly before it (at an exact tie the reference scan
-            # prefers the lower shard index).
-            other_activation, other_shard, _ = other_entry
-            side = "right" if shard < other_shard else "left"
-            length = min(
-                length,
-                1 + int(np.searchsorted(times[1:length], other_activation, side=side)),
-            )
-        retiring = length == burst.iterations
         if length == 1:
             seconds0 = float(burst.seconds[0])
             clock.now += seconds0
             clock.busy_seconds += seconds0
-            state.total_energy += float(burst.energy_joules[0])
             for inflight in residents:
                 inflight.rows_done += min(quantum, inflight.rows_total - inflight.rows_done)
                 inflight.device_seconds += seconds0
@@ -903,14 +948,11 @@ def _event_loop(state: _RunState) -> None:
             durations = burst.seconds[:length]
             clock.now = float(times[length])
             clock.busy_seconds = _chained_sum(clock.busy_seconds, durations)
-            state.total_energy = _chained_sum(
-                state.total_energy, burst.energy_joules[:length]
-            )
             device = np.empty((len(residents), length + 1))
             for index, inflight in enumerate(residents):
                 device[index, 0] = inflight.device_seconds
             device[:, 1:] = durations
-            np.cumsum(device, axis=1, out=device)
+            device.cumsum(axis=1, out=device)
             advanced = length * quantum
             for index, inflight in enumerate(residents):
                 start_rows = inflight.rows_done
@@ -920,30 +962,25 @@ def _event_loop(state: _RunState) -> None:
                     _mark_blocks_burst(inflight, start_rows, times, quantum)
         occupancy = len(residents) / max_batch_size
         occupancy_counts[occupancy] += length
-        base_index = state.num_iterations
-        state.num_iterations += length
-        slow = record or bus.active
-        if slow and length > 1:
-            # Non-final iterations record/emit before retirement, matching
-            # the reference loop's event interleaving (retirement may emit
-            # plan-cache lookups of its own).
-            _record_iterations(
-                state, shard, burst_slices, burst, length, times, occupancy,
-                base_index, admitted, 0, length - 1, retiring, (),
-            )
-        retired = batcher.retire_finished(shard, clock.now) if retiring else []
-        if retired:
-            outputs = _retirement_outputs(shards[shard], retired)
-            for inflight, output in zip(retired, outputs):
-                completed.append(_completion(inflight, output))
-                _fold_decode(state, inflight)
-        if slow:
-            _record_iterations(
-                state, shard, burst_slices, burst, length, times, occupancy,
-                base_index, admitted, length - 1, length, retiring, retired,
-            )
+        retired = (
+            batcher.retire_finished(shard, clock.now, release=False)
+            if length == burst.iterations
+            else []
+        )
+        pending[shard] = _BufferedBurst(
+            shard,
+            burst_slices,
+            burst,
+            times[:length],
+            primed[shard],
+            admitted,
+            retired,
+            occupancy,
+        )
         primed[shard] = bool(running[shard])
         push(shard)
+    # Nothing activates any more: merge what the last bursts left buffered.
+    _merge(state, pending, float("inf"), num_shards)
 
 
 def _chained_sum(initial: float, values: "np.ndarray") -> float:
@@ -957,57 +994,119 @@ def _chained_sum(initial: float, values: "np.ndarray") -> float:
     chain = np.empty(len(values) + 1)
     chain[0] = initial
     chain[1:] = values
-    np.cumsum(chain, out=chain)
+    chain.cumsum(out=chain)
     return float(chain[-1])
 
 
-def _peek_valid(heap, version) -> "tuple[float, int, int] | None":
-    """Earliest valid heap entry (pruning stale versions), or ``None``."""
-    while heap and heap[0][2] != version[heap[0][1]]:
-        heapq.heappop(heap)
-    return heap[0] if heap else None
+def _merge(
+    state: _RunState, pending: "list[_BufferedBurst | None]", instant: float, shard: int
+) -> None:
+    """Merge every buffered iteration keyed below ``(instant, shard)``, in key order.
+
+    A k-way merge with a low-water mark.  Each shard buffers at most one
+    burst (its own pop merged the previous one) with ascending starts, so
+    the iterations below the key are a prefix of each buffer: starts up to
+    ``instant`` on lower shards, strictly before it on higher ones, and all of
+    the popped shard's own.  One shard's prefix merges as one run — the
+    one-shard case costs O(1) per burst; several prefixes are interleaved
+    by a stable sort on ``(start, shard)`` and merged run by run.
+    """
+    parts = []
+    for other, buffered in enumerate(pending):
+        if buffered is None or buffered.offset == len(buffered.starts):
+            continue
+        if other == shard:
+            stop = len(buffered.starts)
+        else:
+            side = "right" if other < shard else "left"
+            stop = int(np.searchsorted(buffered.starts, instant, side=side))
+        if stop > buffered.offset:
+            parts.append((buffered, stop))
+    if len(parts) == 1:
+        _merge_run(state, *parts[0])
+    elif parts:
+        starts = np.concatenate(
+            [buffered.starts[buffered.offset : stop] for buffered, stop in parts]
+        )
+        owners = np.repeat(
+            np.arange(len(parts)), [stop - buffered.offset for buffered, stop in parts]
+        )
+        merged = owners[np.lexsort((owners, starts))]
+        bounds = [0, *(np.flatnonzero(merged[1:] != merged[:-1]) + 1).tolist(), len(merged)]
+        for begin, end in zip(bounds, bounds[1:]):
+            buffered = parts[merged[begin]][0]
+            _merge_run(state, buffered, buffered.offset + end - begin)
+
+
+def _merge_run(state: _RunState, buffered: _BufferedBurst, stop: int) -> None:
+    """Fold one shard's buffered iterations ``[offset, stop)`` into the run.
+
+    Assigns the global iteration indices, adds the energies to
+    ``total_energy`` in merged order, and — when the run reaches a retiring
+    burst's final iteration — settles the retirement: KV release, the
+    stacked functional pass, completions and decode folding.
+    """
+    start = buffered.offset
+    energies = buffered.burst.energy_joules
+    if stop - start == 1:
+        state.total_energy += float(energies[start])
+    else:
+        state.total_energy = _chained_sum(state.total_energy, energies[start:stop])
+    base_index = state.num_iterations - start
+    state.num_iterations += stop - start
+    buffered.offset = stop
+    retired = buffered.retired if stop == len(buffered.starts) else ()
+    slow = state.record_iterations or state.bus.active
+    if slow:
+        # Iterations ahead of a retirement record/emit first, matching the
+        # reference loop's event interleaving (retirement may emit
+        # plan-cache lookups of its own).
+        _record_iterations(state, buffered, base_index, start, stop - 1 if retired else stop)
+    if retired:
+        state.batcher.release(retired)
+        outputs = _retirement_outputs(state.shards[buffered.shard], retired)
+        for inflight, output in zip(retired, outputs):
+            state.completed.append(_completion(inflight, output))
+            _fold_decode(state, inflight)
+        if slow:
+            _record_iterations(state, buffered, base_index, stop - 1, stop)
 
 
 def _record_iterations(
-    state: _RunState,
-    shard: int,
-    burst_slices,
-    burst,
-    length: int,
-    times,
-    occupancy: float,
-    base_index: int,
-    admitted,
-    start: int,
-    stop: int,
-    retiring: bool,
-    retired,
+    state: _RunState, buffered: _BufferedBurst, base_index: int, start: int, stop: int
 ) -> None:
-    """Expand burst iterations ``[start, stop)`` into records and events.
+    """Expand buffered iterations ``[start, stop)`` into records and events.
 
     The slow path of the event scheduler, entered only when iteration
-    records or an active bus ask for per-iteration granularity.  The caller
-    splits the burst around retirement so emission order matches the
-    reference loop exactly: non-final iterations first, then retirement
-    (whose functional pass may emit plan-cache lookups), then the retired
-    events ahead of the final iteration's advancement events.
+    records or an active bus ask for per-iteration granularity.
+    :func:`_merge_run` splits a retiring burst around its retirement so
+    emission order matches the reference loop exactly: earlier iterations
+    first, then retirement (whose functional pass may emit plan-cache
+    lookups), then the retired events ahead of the final iteration's
+    advancement events.
     """
     bus = state.bus
     quantum = state.iteration_rows
+    shard = buffered.shard
+    burst = buffered.burst
+    length = len(buffered.starts)
+    retired = buffered.retired
+    occupancy = buffered.occupancy
+    burst_slices = buffered.slices
     full_resident = tuple((request.request_id, quantum) for request, _, _ in burst_slices)
-    admitted_ids = tuple(inflight.request.request_id for inflight in admitted)
+    admitted_ids = tuple(inflight.request.request_id for inflight in buffered.admitted)
     retired_ids = tuple(inflight.request.request_id for inflight in retired)
     for index in range(start, stop):
         final = index == length - 1
-        if final and retiring:
+        if final and retired:
             resident = tuple(
                 (request.request_id, min(quantum, rows_left - (length - 1) * quantum))
                 for request, _, rows_left in burst_slices
             )
         else:
             resident = full_resident
-        was_primed = state.primed[shard] if index == 0 else True
-        start_value = float(times[index])
+        was_primed = buffered.primed if index == 0 else True
+        start_value = float(buffered.starts[index])
         seconds_value = float(burst.seconds[index])
         energy_value = float(burst.energy_joules[index])
         gate_value = int(burst.gate_rows[index])

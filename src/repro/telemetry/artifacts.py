@@ -7,8 +7,11 @@ accumulates every suite's numbers into ``BENCH_serving.json`` /
 trajectory ROADMAP item 5 asked for.  Writes are atomic (tmp + rename) so a
 crashed benchmark never leaves a half-written artifact behind.
 
-The output directory defaults to the current working directory and is
-overridden by the :data:`BENCH_ARTIFACT_ENV` environment variable.
+The output directory defaults to :data:`DEFAULT_ARTIFACT_DIR` under the
+current working directory — a git-ignored scratch directory, so a local
+test run never rewrites tracked files — and is overridden by the
+:data:`BENCH_ARTIFACT_ENV` environment variable (CI points it at the
+directory it uploads).
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ __all__ = ["BENCH_ARTIFACT_ENV", "artifact_path", "record_bench"]
 #: Environment variable naming the directory artifacts are written into.
 BENCH_ARTIFACT_ENV = "BENCH_ARTIFACT_DIR"
 
+#: Directory, relative to the working directory, used when the variable is unset.
+DEFAULT_ARTIFACT_DIR = ".perfbench"
+
 
 def artifact_path(name: str) -> Path:
     """Resolve an artifact file name against the configured directory."""
     base = os.environ.get(BENCH_ARTIFACT_ENV, "")
-    directory = Path(base) if base else Path.cwd()
+    directory = Path(base) if base else Path.cwd() / DEFAULT_ARTIFACT_DIR
     directory.mkdir(parents=True, exist_ok=True)
     return directory / name
 

@@ -6,6 +6,8 @@ property-tested against it field by field, and
 ``benchmarks/test_plan_compile.py`` times the compiled build against it.
 :func:`compiled_row_plans` reads the same :class:`RowPlan` fields off a
 compiled plan's arrays, so the two can be compared row by row.
+:func:`global_token_indices` is the seed's global-token convention the
+legacy construction reads.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ class RowPlan:
             )
 
 
+def global_token_indices(config: SWATConfig, seq_len: int) -> "tuple[int, ...]":
+    """Resolve the global-token indices for a sequence of ``seq_len`` tokens.
+
+    By convention (Longformer/BigBird) the leading tokens are global.
+    """
+    if seq_len <= 0:
+        raise ValueError("seq_len must be positive")
+    return tuple(range(min(config.num_global_tokens, seq_len)))
+
+
 def legacy_row_plans(config: SWATConfig, seq_len: int) -> "list[RowPlan]":
     """The seed's per-row schedule construction, kept verbatim as reference.
 
@@ -89,7 +101,7 @@ def legacy_row_plans(config: SWATConfig, seq_len: int) -> "list[RowPlan]":
     """
     if seq_len <= 0:
         raise ValueError(f"seq_len must be positive, got {seq_len}")
-    global_keys = config.global_token_indices(seq_len)
+    global_keys = global_token_indices(config, seq_len)
     half_width = config.window_half_width
 
     random_table: "dict[int, tuple[int, ...]]" = {}

@@ -84,18 +84,6 @@ class TestValidation:
 
 
 class TestDerivedHelpers:
-    def test_global_token_indices(self):
-        config = SWATConfig(num_global_tokens=4)
-        assert config.global_token_indices(100) == (0, 1, 2, 3)
-
-    def test_global_token_indices_clipped(self):
-        config = SWATConfig(num_global_tokens=10)
-        assert config.global_token_indices(3) == (0, 1, 2)
-
-    def test_global_token_indices_invalid_seq(self):
-        with pytest.raises(ValueError):
-            SWATConfig().global_token_indices(0)
-
     def test_with_precision_returns_copy(self):
         base = SWATConfig()
         converted = base.with_precision("fp32")

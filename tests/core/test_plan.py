@@ -19,7 +19,11 @@ from repro.core.plan import (
     execute_plan_attention_rows,
 )
 from repro.workload.generator import attention_inputs
-from tests.core.schedule_oracle import compiled_row_plans, legacy_row_plans
+from tests.core.schedule_oracle import (
+    compiled_row_plans,
+    global_token_indices,
+    legacy_row_plans,
+)
 
 ROW_PLAN_FIELDS = (
     "row",
@@ -64,6 +68,20 @@ config_strategy = st.builds(
     num_random=st.integers(0, 8),
     seed=st.integers(0, 3),
 )
+
+
+class TestGlobalTokenIndices:
+    def test_global_token_indices(self):
+        config = SWATConfig(num_global_tokens=4)
+        assert global_token_indices(config, 100) == (0, 1, 2, 3)
+
+    def test_global_token_indices_clipped(self):
+        config = SWATConfig(num_global_tokens=10)
+        assert global_token_indices(config, 3) == (0, 1, 2)
+
+    def test_global_token_indices_invalid_seq(self):
+        with pytest.raises(ValueError):
+            global_token_indices(SWATConfig(), 0)
 
 
 class TestCompiledPlanMatchesLegacy:
@@ -163,7 +181,7 @@ def _event_by_event_reference(config, seq_len):
     against an independent event simulation, not against themselves.
     """
     plans = legacy_row_plans(config, seq_len)
-    global_keys = list(config.global_token_indices(seq_len))
+    global_keys = list(global_token_indices(config, seq_len))
     row_bytes = config.kv_row_bytes
     capacity = max(config.window_tokens, 1)
 

@@ -16,15 +16,18 @@ The load-bearing contracts of iteration-level scheduling:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dataclasses import fields
+from unittest import mock
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
+from repro.model import ModelSpec
+from repro.serving import continuous
 from repro.serving.backends import create_backend
-from repro.serving.cache import PlanCache
+from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.continuous import (
     SCHEDULERS,
     ContinuousBatcher,
@@ -37,7 +40,12 @@ from repro.serving.continuous import (
     swat_request_rate,
 )
 from repro.serving.engine import ServingEngine
-from repro.serving.request import AttentionRequest, make_requests
+from repro.serving.request import (
+    AttentionRequest,
+    make_decode_request,
+    make_forward_request,
+    make_requests,
+)
 from repro.serving.stats import ServingStats, percentile
 from repro.telemetry import EventBus
 from repro.telemetry.events import to_record
@@ -268,6 +276,26 @@ class TestDeterminism:
             bursty_arrivals(4, burst_size=0, burst_gap=0.5)
 
 
+class _LoggedResidency(KVResidency):
+    """KV residency that logs every call, so tests can compare call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+
+    def admit(self, request_id, resident_bytes):
+        self.ops.append(("admit", request_id))
+        super().admit(request_id, resident_bytes)
+
+    def touch(self, request_id, steps):
+        self.ops.append(("touch", request_id, steps))
+        super().touch(request_id, steps)
+
+    def release(self, request_id):
+        self.ops.append(("release", request_id))
+        super().release(request_id)
+
+
 class TestSchedulerEquivalence:
     """The event-driven scheduler is a bit-exact drop-in for the reference loop.
 
@@ -278,22 +306,31 @@ class TestSchedulerEquivalence:
     it reads the host clock).
     """
 
-    def _run_both(self, requests, **kwargs):
+    def _run_both(self, requests, cache_entries=None, **kwargs):
         runs = {}
         for scheduler in SCHEDULERS:
             bus = EventBus()
             events = []
             bus.subscribe(events.append)
-            result = serve_continuous(
-                list(requests), scheduler=scheduler, bus=bus, **kwargs
+            if cache_entries is not None:
+                kwargs["plan_cache"] = PlanCache(max_entries=cache_entries, bus=bus)
+            residency = _LoggedResidency()
+            with mock.patch.object(continuous, "KVResidency", lambda: residency):
+                result = serve_continuous(list(requests), scheduler=scheduler, bus=bus, **kwargs)
+            runs[scheduler] = (
+                result,
+                [to_record(event) for event in events],
+                residency.ops + [("peak", residency.peak_bytes)],
             )
-            runs[scheduler] = (result, [to_record(event) for event in events])
         return runs["event"], runs["reference"]
 
     @staticmethod
     def _assert_equivalent(event_run, reference_run):
-        event_result, event_log = event_run
-        reference_result, reference_log = reference_run
+        event_result, event_log, event_kv = event_run
+        reference_result, reference_log, reference_kv = reference_run
+        # KV residency is settled in the reference loop's order: the same
+        # admit/touch/release sequence, hence the same peak.
+        assert event_kv == reference_kv
         for spec in fields(ServingStats):
             if spec.name == "wall_seconds":
                 continue
@@ -370,11 +407,186 @@ class TestSchedulerEquivalence:
         ):
             assert np.array_equal(event_done.output, reference_done.output)
 
+    @settings(deadline=None, max_examples=20)
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["attention", "forward", "decode"]), min_size=2, max_size=10
+        ),
+        arrival_seed=st.integers(0, 2**16),
+        load=st.sampled_from([0.5, 4.0]),
+        paired=st.booleans(),
+        num_shards=st.integers(2, 4),
+        max_batch_size=st.integers(1, 3),
+        iteration_rows=st.sampled_from([4, 16, 64]),
+        policy=st.sampled_from(["fcfs", "sjf"]),
+        cache_entries=st.sampled_from([2, 64]),
+    )
+    # A decode retiring on one shard while the other admits the next: the
+    # release must land after that admission, as in the reference loop.
+    @example(
+        kinds=["attention", "decode", "decode"],
+        arrival_seed=0,
+        load=0.5,
+        paired=False,
+        num_shards=2,
+        max_batch_size=1,
+        iteration_rows=4,
+        policy="fcfs",
+        cache_entries=2,
+    )
+    def test_mixed_multi_shard_traces_match_reference_bitwise(
+        self,
+        kinds,
+        arrival_seed,
+        load,
+        paired,
+        num_shards,
+        max_batch_size,
+        iteration_rows,
+        policy,
+        cache_entries,
+    ):
+        # Shards run ahead of each other, so retirement-time plan-cache
+        # lookups (functional attention and forwards, on a cache small
+        # enough to evict), KV residency and every event must still come
+        # out in the reference loop's order.  Paired arrivals start shards
+        # at the same instant, so iteration keys tie on time and the merge
+        # must break them on the shard index.
+        config = _config()
+        specs = [
+            ModelSpec.uniform(2, seq_len, window_tokens=8, num_heads=2, head_dim=HEAD_DIM)
+            for seq_len in (16, 24)
+        ]
+        rate = load * swat_request_rate(
+            config, [24], num_shards=num_shards, max_batch_size=max_batch_size, num_heads=2
+        )
+        arrivals = poisson_arrivals(len(kinds), rate, seed=arrival_seed)
+        if paired:
+            arrivals = [arrivals[index - index % 2] for index in range(len(arrivals))]
+        requests = []
+        for index, (kind, arrival) in enumerate(zip(kinds, arrivals)):
+            spec = specs[index % 2]
+            if kind == "attention":
+                seq_len = (8, 16, 24, 33)[index % 4]
+                requests.append(
+                    make_requests(
+                        [seq_len], HEAD_DIM, seed=arrival_seed + index, arrival_times=[arrival]
+                    )[0]
+                )
+            elif kind == "forward":
+                requests.append(make_forward_request(spec, seed=index, arrival_time=arrival))
+            else:
+                requests.append(
+                    make_decode_request(
+                        spec,
+                        new_tokens=(4, 8)[index % 2],
+                        block_size=1 + index % 3,
+                        arrival_time=arrival,
+                    )
+                )
+        event_run, reference_run = self._run_both(
+            requests,
+            cache_entries=cache_entries,
+            config=config,
+            backend="simulator",
+            num_shards=num_shards,
+            max_batch_size=max_batch_size,
+            iteration_rows=iteration_rows,
+            policy=policy,
+        )
+        self._assert_equivalent(event_run, reference_run)
+        for event_done, reference_done in zip(event_run[0].completed, reference_run[0].completed):
+            assert event_done.shard == reference_done.shard
+            if reference_done.output is None:
+                assert event_done.output is None
+            else:
+                assert np.array_equal(event_done.output, reference_done.output)
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):
             serve_continuous(
                 [], config=_config(), backend="analytical", scheduler="fifo"
             )
+
+
+class TestShardDecoupledBursts:
+    """A shard's burst is cut only at its own scheduling events.
+
+    ``step_burst`` is wrapped on each backend instance handed in (as the
+    benchmark tracer does), so the tests count the priced bursts directly.
+    """
+
+    @staticmethod
+    def _counted_backends(num_shards, config):
+        cache = PlanCache()
+        backends = [
+            create_backend("analytical", config=config, plan_cache=cache)
+            for _ in range(num_shards)
+        ]
+        calls = []
+        for shard, backend in enumerate(backends):
+
+            def counted(*args, _shard=shard, _price=backend.step_burst, **kwargs):
+                calls.append(_shard)
+                return _price(*args, **kwargs)
+
+            backend.step_burst = counted
+        return backends, cache, calls
+
+    def _serve(self, requests, num_shards, max_batch_size, scheduler="event"):
+        config = _config()
+        backends, cache, calls = self._counted_backends(num_shards, config)
+        result = serve_continuous(
+            requests,
+            config=config,
+            backend="analytical",
+            num_shards=num_shards,
+            max_batch_size=max_batch_size,
+            iteration_rows=16,
+            plan_cache=cache,
+            backends=backends,
+            scheduler=scheduler,
+        )
+        return result, calls
+
+    def test_two_busy_shards_price_one_burst_each(self):
+        requests = [AttentionRequest(seq_len=512, arrival_time=0.0) for _ in range(2)]
+        result, calls = self._serve(requests, num_shards=2, max_batch_size=1)
+        reference, reference_calls = self._serve(
+            requests, num_shards=2, max_batch_size=1, scheduler="reference"
+        )
+        assert sorted(calls) == [0, 1]
+        assert len(reference_calls) == result.stats.num_iterations == 64
+        assert result.iterations == reference.iterations
+
+    def test_staggered_shards_burst_once_per_scheduling_event(self):
+        # Three (short, long) pairs, each arriving while the earlier shards
+        # are full, so every pair lands on its own shard.  Each shard prices
+        # one burst at its admission and one at the short request's
+        # retirement — however its iterations interleave with the others'.
+        requests = [
+            AttentionRequest(seq_len=seq_len, arrival_time=pair * 1e-9)
+            for pair in range(3)
+            for seq_len in (64, 256)
+        ]
+        result, calls = self._serve(requests, num_shards=3, max_batch_size=2)
+        reference, _ = self._serve(requests, num_shards=3, max_batch_size=2, scheduler="reference")
+        assert result.iterations == reference.iterations
+        assert [done.shard for done in result.completed] == [0, 0, 1, 1, 2, 2]
+        admissions = {(done.shard, done.admit_time) for done in result.completed}
+        continuing = {
+            (done.shard, done.finish_time)
+            for done in result.completed
+            if any(
+                other.shard == done.shard and other.finish_time > done.finish_time
+                for other in result.completed
+            )
+        }
+        assert len(calls) == len(admissions) + len(continuing) == 6
+        assert result.stats.num_iterations == 48
+        # The shards' iterations interleave in the merged record stream.
+        shards = [record.shard for record in result.iterations]
+        assert shards[:3] == [0, 1, 2]
 
 
 class TestHeadOfLineBlocking:

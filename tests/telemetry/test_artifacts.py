@@ -31,9 +31,12 @@ def test_corrupt_existing_artifact_is_replaced(tmp_path, monkeypatch):
 
 
 def test_artifact_path_defaults_to_cwd(tmp_path, monkeypatch):
+    # Unset, artifacts land in the git-ignored .perfbench/ under the cwd, so
+    # a local test run never rewrites tracked files.
     monkeypatch.delenv(BENCH_ARTIFACT_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
-    assert artifact_path("BENCH_test.json") == tmp_path / "BENCH_test.json"
+    assert artifact_path("BENCH_test.json") == tmp_path / ".perfbench" / "BENCH_test.json"
+    assert (tmp_path / ".perfbench").is_dir()
 
 
 def test_artifact_dir_is_created(tmp_path, monkeypatch):
