@@ -18,6 +18,7 @@ Run with ``PYTHONPATH=src python examples/model_forward.py``.
 import numpy as np
 
 from repro.core.config import SWATConfig
+from repro.core.power import PowerModel
 from repro.model import LayerGeometry, ModelExecutor, ModelSpec, forward_inputs
 from repro.serving import ServingEngine, make_forward_request, serve_continuous
 from repro.serving.cache import PlanCache
@@ -48,9 +49,11 @@ def main() -> None:
             f"({group.config.describe()}): {group.cycles} cycles, "
             f"{group.kv_bytes} bytes"
         )
+    # Every layer runs on the same board: energy is its power over the seconds.
+    energy_joules = PowerModel(config).total_power_w * plan.total_seconds
     print(
         f"forward totals: {plan.total_cycles} cycles, {plan.total_seconds * 1e6:.1f} us, "
-        f"{plan.total_kv_bytes} KV bytes, {plan.total_energy_joules * 1e3:.3f} mJ, "
+        f"{plan.total_kv_bytes} KV bytes, {energy_joules * 1e3:.3f} mJ, "
         f"{plan.mlp_flops / 1e6:.1f} MFLOP host-side MLP"
     )
 

@@ -99,11 +99,6 @@ class KVFifoBuffer:
         """Row length."""
         return self._head_dim
 
-    @property
-    def resident_keys(self) -> "list[int]":
-        """Sorted key indices currently held in the buffer."""
-        return sorted(int(i) for i in self._key_index if i >= 0)
-
     def slot_for(self, key_index: int) -> int:
         """Return the slot a key index maps to (``key_index mod capacity``)."""
         if key_index < 0:

@@ -45,11 +45,6 @@ class GPUAttentionReport:
         """Number of kernel invocations in the stream (count-weighted)."""
         return sum(cost.count for cost in self.kernels)
 
-    @property
-    def seconds_per_item(self) -> float:
-        """Modelled execution time amortised per attention instance."""
-        return self.seconds / self.items
-
 
 class DenseAttentionGPU:
     """Naive dense softmax attention: full QK^T, softmax, S'V on the GPU."""

@@ -170,7 +170,7 @@ class ModelExecutor:
     :meth:`reference_forward`, the layer-by-layer module stack.
 
     Pricing delegates to the :class:`~repro.model.plan.ModelPlan` aggregates
-    (per-layer + total cycles, bytes moved, per-layer energy hooks).
+    (per-layer + total cycles and bytes moved).
     """
 
     def __init__(
@@ -280,11 +280,6 @@ class ModelExecutor:
     def total_kv_bytes(self) -> int:
         """Off-chip attention traffic of one forward."""
         return self.model_plan.total_kv_bytes
-
-    @property
-    def total_energy_joules(self) -> float:
-        """Modelled attention energy of one forward."""
-        return self.model_plan.total_energy_joules
 
     def describe(self) -> str:
         """One-line summary used by the demo CLI and examples."""

@@ -7,9 +7,12 @@ schedule per distinct ``(attention geometry, seq_len)`` shape.  The
 :class:`~repro.core.plan.ExecutionPlan`\\ s through the serving layer's
 :class:`~repro.serving.cache.PlanCache` (L layers sharing one schedule per
 shape — the plan-compile amortisation the acceptance benchmark measures) and
-aggregates timing/traffic **model-wide**: per-layer cycle and byte vectors
-with prefix sums, so a serve call prices an entire forward pass off arrays
-instead of re-walking L pipeline models.
+aggregates timing/traffic **model-wide**: per-layer row, cycle and byte
+vectors with prefix sums, so a serve call prices an entire forward pass off
+arrays instead of re-walking L pipeline models.  The plan carries no energy:
+the serving backend prices energy once, as its device power times modelled
+seconds (every layer runs on the same board; a layer only grafts schedule
+geometry onto the base datapath).
 
 Timing model
 ------------
@@ -40,7 +43,6 @@ import numpy as np
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
 from repro.core.plan import ExecutionPlan, compile_plan
-from repro.core.power import PowerModel
 from repro.model.spec import ModelSpec
 
 __all__ = [
@@ -70,7 +72,7 @@ class ModelShapeGroup:
         ``plan``).
     num_heads:
         Heads per member layer (model-wide).
-    cycles, kv_bytes, energy_joules:
+    cycles, kv_bytes:
         The group's share of the model-wide totals (summed over its layers);
         the conservation tests assert the groups partition the totals.
     """
@@ -81,17 +83,11 @@ class ModelShapeGroup:
     num_heads: int
     cycles: int
     kv_bytes: int
-    energy_joules: float
 
     @property
     def num_layers(self) -> int:
         """Member layers sharing this plan."""
         return len(self.layer_indices)
-
-    @property
-    def total_heads(self) -> int:
-        """Stacked heads this group contributes to a forward."""
-        return self.num_layers * self.num_heads
 
 
 class _RowSpanPricing:
@@ -105,12 +101,6 @@ class _RowSpanPricing:
     segment per layer; :class:`DecodePlan` one per ``(block, layer)`` pair.
     All arrays are int64, so every price below is exact integer arithmetic.
     """
-
-    def span_cycles(self, row_lo: int, row_hi: int, primed: bool) -> int:
-        """Cycles to stream rows ``[row_lo, row_hi)``: one :meth:`span_cycles_matrix` span."""
-        if not 0 <= row_lo < row_hi <= self.total_rows:
-            raise ValueError(f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]")
-        return int(self.span_cycles_matrix([[row_lo, row_hi]], primed)[0, 0])
 
     @cached_property
     def _row_cycles_prefix(self) -> np.ndarray:
@@ -200,9 +190,6 @@ class ModelPlan(_RowSpanPricing):
         ``(L + 1,)`` model-wide prefix.
     layer_kv_bytes, cum_kv_bytes:
         Per-layer off-chip Q/K/V/output traffic over all heads, and prefix.
-    layer_energy_joules:
-        Per-layer modelled energy (per-layer power model x layer seconds) —
-        the fig9-style energy hook, aggregated by :attr:`total_energy_joules`.
     clock_period_s:
         Seconds per cycle of the serving datapath (from the base config).
     mlp_flops:
@@ -221,7 +208,6 @@ class ModelPlan(_RowSpanPricing):
     cum_cycles: np.ndarray
     layer_kv_bytes: np.ndarray
     cum_kv_bytes: np.ndarray
-    layer_energy_joules: np.ndarray
     clock_period_s: float
     mlp_flops: int
 
@@ -263,11 +249,6 @@ class ModelPlan(_RowSpanPricing):
     def total_seconds(self) -> float:
         """Modelled accelerator time of one forward's attention."""
         return self.total_cycles * self.clock_period_s
-
-    @property
-    def total_energy_joules(self) -> float:
-        """Modelled attention energy of one forward (sum of the layer hooks)."""
-        return float(self.layer_energy_joules.sum())
 
     def plan_for_layer(self, layer: int) -> ExecutionPlan:
         """The compiled execution plan layer ``layer`` runs its heads on."""
@@ -417,7 +398,6 @@ class ModelPlanCompiler:
         group_configs: "list[SWATConfig]" = []
         group_plans: "list[ExecutionPlan]" = []
         group_pipelines: "list[SWATPipelineModel]" = []
-        group_power_w: "list[float]" = []
         group_layers: "list[list[int]]" = []
         layer_group: "list[int]" = []
         for layer in range(num_layers):
@@ -428,7 +408,6 @@ class ModelPlanCompiler:
                 group_configs.append(config)
                 group_plans.append(self._resolve_plan(config, seq_len))
                 group_pipelines.append(SWATPipelineModel(config))
-                group_power_w.append(PowerModel(config).total_power_w)
                 group_layers.append([])
             index = group_index[key]
             group_layers[index].append(layer)
@@ -457,14 +436,6 @@ class ModelPlanCompiler:
         cum_cycles = np.concatenate([[0], np.cumsum(layer_cycles)])
         cum_kv_bytes = np.concatenate([[0], np.cumsum(layer_kv_bytes)])
 
-        clock_period_s = self.base_config.clock_period_s
-        layer_energy = np.array(
-            [
-                group_power_w[index] * int(layer_cycles[layer]) * clock_period_s
-                for layer, index in enumerate(layer_group)
-            ]
-        )
-
         groups = tuple(
             ModelShapeGroup(
                 config=group_configs[index],
@@ -473,7 +444,6 @@ class ModelPlanCompiler:
                 num_heads=spec.num_heads,
                 cycles=int(layer_cycles[members].sum()),
                 kv_bytes=int(layer_kv_bytes[members].sum()),
-                energy_joules=float(layer_energy[members].sum()),
             )
             for index, members in enumerate(
                 [np.asarray(members, dtype=np.int64) for members in group_layers]
@@ -502,7 +472,6 @@ class ModelPlanCompiler:
             cum_cycles=cum_cycles,
             layer_kv_bytes=layer_kv_bytes,
             cum_kv_bytes=cum_kv_bytes,
-            layer_energy_joules=layer_energy,
-            clock_period_s=clock_period_s,
+            clock_period_s=self.base_config.clock_period_s,
             mlp_flops=mlp_flops,
         )

@@ -21,12 +21,17 @@ engine, the demo CLI and the benchmarks select execution paths with a string:
 Execution is batched along two axes.  Timing-wise, SWAT backends amortise the
 pipeline fill across a batch: rows of consecutive same-config requests stream
 back to back, so a batch of ``n`` requests costs ``fill + (total_rows - 1) *
-II`` cycles instead of ``n`` separate fills.  Functionally, the batch is
-partitioned into ``(config, seq_len)`` groups and every group executes as ONE
-stacked tensor program (:class:`repro.core.plan.PlanBatch`) — the slab GEMMs
-and extras gathers vectorize over all ``B x H`` stacked heads instead of
-looping the executor per request, with per-head results bit-identical to the
-per-request dispatch they replace.  The GPU backends batch the same way on
+II`` cycles instead of ``n`` separate fills.  A SWAT drain dispatch has no
+formula of its own: it is a sequence of cold one-iteration
+:meth:`AttentionBackend.step_burst` calls (the attention rows as one stream,
+then each forward, then each decode), and its energy is the serving device's
+power times those modelled seconds — the one energy model every SWAT pricing
+site shares.  Functionally, the batch is partitioned into ``(config,
+seq_len)`` groups and every group executes as ONE stacked tensor program
+(:class:`repro.core.plan.PlanBatch`) — the slab GEMMs and extras gathers
+vectorize over all ``B x H`` stacked heads instead of looping the executor
+per request, with per-head results bit-identical to the per-request dispatch
+they replace.  The GPU backends batch the same way on
 the pricing side: one :meth:`run_batch` report per distinct ``seq_len``,
 with the launch-amortisation knob of :mod:`repro.gpu` deciding how much of
 the per-kernel launch cost the batch hides.
@@ -55,7 +60,7 @@ Every backend also serves :class:`~repro.serving.request.ForwardRequest`\\ s:
 a request carrying a :class:`~repro.model.spec.ModelSpec` instead of one
 attention's Q/K/V.  Backends memoise one compiled
 :class:`~repro.model.plan.ModelPlan` per spec (pricing: per-layer + total
-cycles/bytes/energy off the plan's model-wide prefix sums) and one
+cycles/rows/bytes off the plan's model-wide prefix sums) and one
 :class:`~repro.model.executor.ModelExecutor` per ``(spec, weight_seed)``
 (functional execution: same-spec forwards of a dispatch stack into one
 ``(B, H, seq, head_dim)`` pass per layer) — the serving layer's model
@@ -505,7 +510,15 @@ def _burst_iterations(slices, iteration_rows: int) -> int:
 
 
 class _SWATBackendBase(AttentionBackend):
-    """Shared SWAT machinery: simulator, batch timing, traffic and energy."""
+    """Shared SWAT machinery: simulator, drain dispatch, burst clock and energy.
+
+    One energy model: the serving device's power
+    (:class:`~repro.core.power.PowerModel` of the backend config) times
+    modelled seconds.  A whole-model forward's layers graft only schedule
+    geometry onto that datapath (:meth:`~repro.model.spec.ModelSpec.layer_config`)
+    and the board is not re-synthesised per layer, so every layer draws the
+    same board power.
+    """
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         super().__init__(config=config, plan_cache=plan_cache)
@@ -524,63 +537,74 @@ class _SWATBackendBase(AttentionBackend):
         self._clock_period_s = self.config.clock_period_s
         self._total_power_w = self.simulator.power_model.total_power_w
 
-    def _batch_timing(self, batch: "list[AttentionRequest]") -> "tuple[int, float, float]":
-        """Cycles/seconds/energy of a drained dispatch.
+    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
+        """Drain ``batch``: one pass for outputs and traffic, cold bursts for time.
 
-        A drained dispatch is one cold stream: its attention requests' rows
-        (heads spread across the replicated pipelines, exactly
-        :meth:`request_rows`) run back to back with a single fill —
-        ``cycles_for_rows(total_rows)``, the same
-        ``batch_attention_cycles`` total a cold continuous burst charges.
-        Each whole-model forward prices off its compiled
-        :class:`~repro.model.plan.ModelPlan` — per-layer pipelines, fills at
-        geometry switches, per-layer power hooks.  Each decode prices off its
-        :class:`~repro.model.plan.DecodePlan` — only the new rows stream, the
-        prompt's K/V stays resident.
+        A drained dispatch is a sequence of cold one-iteration
+        :meth:`step_burst` calls, summed in order: the attention requests'
+        rows (heads spread across the replicated pipelines, exactly
+        :meth:`request_rows`) stream back to back as one stream with a single
+        fill, then each whole-model forward along its model plan's row axis,
+        then each decode along its decode plan's.  So a drain prices the same
+        work exactly as a cold continuous busy period does, energy included.
         """
+        outputs, bytes_moved = self._outputs_and_traffic(batch)
         attentions, forwards, decodes = split_batch(batch)
-        cycles = self.simulator.pipeline.cycles_for_rows(
-            sum(self.request_rows(request) for _, request in attentions)
+        streams = [(request, self.request_rows(request)) for _, request in forwards + decodes]
+        if attentions:
+            rows = sum(self.request_rows(request) for _, request in attentions)
+            streams.insert(0, (attentions[0][1], rows))
+        cycles, seconds, energy = 0, 0.0, 0.0
+        for request, rows in streams:
+            burst = self.step_burst([(request, 0, rows)], primed=False, iteration_rows=rows)
+            cycles += int(burst.cycles[0])
+            seconds += float(burst.seconds[0])
+            energy += float(burst.energy_joules[0])
+        return BackendResult(
+            outputs=outputs,
+            device_seconds=seconds,
+            cycles=cycles,
+            energy_joules=energy,
+            kv_bytes_moved=bytes_moved,
+            head_rows=batch_head_rows(batch),
         )
-        seconds = cycles * self._clock_period_s
-        energy = self._total_power_w * seconds
-        for _, request in forwards:
-            plan = self.model_plan(request)
-            cycles += plan.total_cycles
-            seconds += plan.total_seconds
-            energy += plan.total_energy_joules
-        for _, request in decodes:
-            plan = self.decode_plan(request)
-            cycles += plan.total_cycles
-            seconds += plan.total_seconds
-            energy += self._total_power_w * plan.total_seconds
-        return cycles, seconds, energy
 
-    @staticmethod
-    def _plan_traffic(plan, num_heads: int) -> int:
-        """Q/K/V/output bytes of ``num_heads`` heads, off the plan's prefix sums."""
-        traffic = plan.traffic_bytes()
-        return num_heads * (traffic["q"] + traffic["k"] + traffic["v"] + traffic["output"])
+    def _outputs_and_traffic(
+        self, batch: "list[AttentionRequest]"
+    ) -> "tuple[tuple[np.ndarray | None, ...], int]":
+        """Functional outputs (functional backends only) plus off-chip traffic.
 
-    def _batch_traffic(self, batch: "list[AttentionRequest]") -> int:
-        """Batch traffic: one plan resolution per distinct shape, not per request.
-
-        Decodes count their KV residency traffic — one prompt-cache load plus
-        the new tokens' K/V writes — not a full-context restream.
+        One pass: each distinct attention ``seq_len`` resolves its plan once,
+        for both its stacked :class:`~repro.core.plan.PlanBatch` execution and
+        its Q/K/V/output bytes off the plan's prefix sums.  Forwards count
+        their model plan's KV bytes and execute as one stacked
+        :meth:`~repro.model.executor.ModelExecutor.forward_batch` per
+        ``(spec, weight_seed)``; decodes count their KV residency traffic —
+        one prompt-cache load plus the new tokens' K/V writes, not a
+        full-context restream — and produce no output.
         """
+        outputs: "list[np.ndarray | None]" = [None] * len(batch)
+        bytes_moved = 0
         attentions, forwards, decodes = split_batch(batch)
-        attention_requests = [request for _, request in attentions]
-        return (
-            sum(
-                self._plan_traffic(
-                    self.simulator.resolve_plan(seq_len),
-                    sum(request.num_heads for _, request in members),
-                )
-                for seq_len, members in seq_len_groups(attention_requests).items()
+        for seq_len, members in indexed_seq_len_groups(attentions).items():
+            plan = self.simulator.resolve_plan(seq_len)
+            heads = sum(request.num_heads for _, request in members)
+            traffic = plan.traffic_bytes()
+            bytes_moved += heads * (traffic["q"] + traffic["k"] + traffic["v"] + traffic["output"])
+            functional = [(index, request) for index, request in members if request.is_functional]
+            if not (self.functional and functional):
+                continue
+            plan_batch = PlanBatch.from_items(
+                plan, [(request.q, request.k, request.v) for _, request in functional]
             )
-            + sum(self.model_plan(request).total_kv_bytes for _, request in forwards)
-            + sum(request.kv_traffic_bytes for _, request in decodes)
-        )
+            stacked = plan_batch.execute(scale=1.0 / np.sqrt(self.config.head_dim))
+            for (index, _), output in zip(functional, plan_batch.split(stacked)):
+                outputs[index] = output
+        bytes_moved += sum(self.model_plan(request).total_kv_bytes for _, request in forwards)
+        bytes_moved += sum(request.kv_traffic_bytes for _, request in decodes)
+        if self.functional:
+            self._stacked_forward_outputs(forwards, outputs)
+        return tuple(outputs), bytes_moved
 
     # ------------------------------------------------------------------ #
     # Iteration-level pricing (continuous batching)
@@ -707,73 +731,24 @@ class SimulatorBackend(_SWATBackendBase):
     compiled plan and one :meth:`~repro.core.plan.PlanBatch.execute` pass
     runs the whole stack, bit-identical per head to the per-request
     :meth:`~repro.core.simulator.SWATSimulator.run` loop it replaced.
-    Timing/traffic come from the batch-level accounting below: the whole
-    dispatch streams back to back, one pipeline fill across all groups.
+    Timing and traffic are the shared SWAT drain dispatch: the whole
+    dispatch streams as cold bursts, one pipeline fill across all attention
+    groups.
     """
 
     name = "simulator"
     functional = True
 
-    def _outputs_and_traffic(
-        self, batch: "list[AttentionRequest]"
-    ) -> "tuple[tuple[np.ndarray | None, ...], int]":
-        """Stacked functional pass plus traffic, one plan resolution per group.
-
-        Whole-model forwards group by ``(spec, weight_seed)`` and execute as
-        one stacked :meth:`~repro.model.executor.ModelExecutor.forward_batch`
-        per group — all ``B x H`` heads of each layer in one pass over the
-        layer's shared plan.
-        """
-        outputs: "list[np.ndarray | None]" = [None] * len(batch)
-        bytes_moved = 0
-        attentions, forwards, decodes = split_batch(batch)
-        for seq_len, members in indexed_seq_len_groups(attentions).items():
-            plan = self.simulator.resolve_plan(seq_len)
-            bytes_moved += self._plan_traffic(
-                plan, sum(request.num_heads for _, request in members)
-            )
-            functional = [(index, request) for index, request in members if request.is_functional]
-            if not functional:
-                continue
-            plan_batch = PlanBatch.from_items(
-                plan, [(request.q, request.k, request.v) for _, request in functional]
-            )
-            stacked = plan_batch.execute(scale=1.0 / np.sqrt(self.config.head_dim))
-            for (index, _), output in zip(functional, plan_batch.split(stacked)):
-                outputs[index] = output
-        for _, request in forwards:
-            bytes_moved += self.model_plan(request).total_kv_bytes
-        for _, request in decodes:
-            # Analytical decode: one prompt-KV load plus the new tokens'
-            # K/V writes — no functional output is modelled.
-            bytes_moved += request.kv_traffic_bytes
-        self._stacked_forward_outputs(forwards, outputs)
-        return tuple(outputs), bytes_moved
-
     def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
-        """Stacked functional pass only — one ``PlanBatch`` per shape group.
+        """Stacked functional pass — one ``PlanBatch`` per shape group.
 
         Exactly the execution path of :meth:`execute_batch`, minus the
-        timing/traffic accounting: the continuous engine prices iterations
-        through :meth:`step_burst` and fetches outputs here at retirement, so the
+        timing: the continuous engine prices iterations through
+        :meth:`step_burst` and fetches outputs here at retirement, so the
         per-head bits are identical to a drain dispatch (and, by the stacked
         executor's contract, to running each request alone).
         """
-        outputs, _ = self._outputs_and_traffic(batch)
-        return outputs
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        outputs, bytes_moved = self._outputs_and_traffic(batch)
-        outputs = list(outputs)
-        cycles, seconds, energy = self._batch_timing(batch)
-        return BackendResult(
-            outputs=tuple(outputs),
-            device_seconds=seconds,
-            cycles=cycles,
-            energy_joules=energy,
-            kv_bytes_moved=bytes_moved,
-            head_rows=batch_head_rows(batch),
-        )
+        return self._outputs_and_traffic(batch)[0]
 
 
 @register_backend
@@ -782,17 +757,6 @@ class AnalyticalBackend(_SWATBackendBase):
 
     name = "analytical"
     functional = False
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        cycles, seconds, energy = self._batch_timing(batch)
-        return BackendResult(
-            outputs=(None,) * len(batch),
-            device_seconds=seconds,
-            cycles=cycles,
-            energy_joules=energy,
-            kv_bytes_moved=self._batch_traffic(batch),
-            head_rows=batch_head_rows(batch),
-        )
 
 
 @register_backend

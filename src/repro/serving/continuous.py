@@ -24,9 +24,12 @@ bit-exactly to what
 for the same gating rows streamed as one drained batch — partial fills are
 charged to the timing model honestly, never once per drain.
 
-The drain engine prices a SWAT dispatch as one cold stream of the same
-pipeline model (``cycles_for_rows(total_rows)``), so drain-vs-continuous
-numbers compare scheduling policies on one device model.
+The drain engine prices a SWAT dispatch with this same ``step_burst``
+kernel — a sequence of cold one-iteration bursts (the attention rows as one
+stream with a single fill, then each forward, then each decode) — and both
+engines price energy as the serving device's power times modelled seconds,
+so drain-vs-continuous numbers compare scheduling policies on one device
+model.
 
 Schedulers
 ----------

@@ -353,11 +353,6 @@ class DecodeRequest:
         return self._schedule
 
     @property
-    def num_steps(self) -> int:
-        """Decode steps this request takes (``len(block_schedule)``)."""
-        return len(self._schedule)
-
-    @property
     def kv_bytes_per_token(self) -> int:
         """Resident K/V bytes one token pins across all layers (fp32 K+V)."""
         return 2 * self.spec.hidden_dim * _KV_ELEMENT_BYTES * self.spec.num_layers

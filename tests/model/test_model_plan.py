@@ -5,8 +5,8 @@ The load-bearing contracts:
 * **Dedup** — layers sharing an attention geometry share one compiled
   execution plan (and the shared plan cache pays one build per shape).
 * **Conservation** — the per-layer shape groups partition the model: total
-  cycles/bytes/energy equal the sum over groups, and any cold-start slicing
-  of the model-wide row axis sums its ``span_cycles`` exactly to
+  cycles/bytes equal the sum over groups, and any cold-start slicing of the
+  model-wide row axis sums its ``span_cycles_matrix`` prices exactly to
   ``total_cycles`` (no fill charged twice, none dropped).
 * **Consistency** — a uniform-geometry model's total cycles equal
   ``batch_attention_cycles`` of its layers streamed as one batch (one fill
@@ -135,9 +135,6 @@ class TestModelPlanCompilation:
         assert plan.num_shapes == len({g.fingerprint() for g in spec.layers})
         assert plan.total_cycles == sum(group.cycles for group in plan.groups)
         assert plan.total_kv_bytes == sum(group.kv_bytes for group in plan.groups)
-        assert plan.total_energy_joules == pytest.approx(
-            sum(group.energy_joules for group in plan.groups)
-        )
         # Prefix sums are genuine prefixes of the per-layer vectors.
         assert np.array_equal(np.diff(plan.cum_cycles), plan.layer_cycles)
         assert np.array_equal(np.diff(plan.cum_kv_bytes), plan.layer_kv_bytes)
@@ -146,13 +143,13 @@ class TestModelPlanCompilation:
     @settings(deadline=None, max_examples=40)
     @given(spec=spec_strategy, seed=st.integers(0, 2**16))
     def test_cold_start_slicing_conserves_cycles(self, spec, seed):
-        """Any slicing of the row axis sums span_cycles to total_cycles."""
+        """Any slicing of the row axis sums its one-span prices to total_cycles."""
         plan = ModelPlanCompiler(base_config=_config()).compile(spec)
         rng = np.random.default_rng(seed)
         cuts = np.unique(rng.integers(1, plan.total_rows, size=4)) if plan.total_rows > 1 else []
         bounds = [0, *cuts, plan.total_rows]
         total = sum(
-            plan.span_cycles(lo, hi, primed=(index > 0))
+            int(plan.span_cycles_matrix([[lo, hi]], primed=(index > 0))[0, 0])
             for index, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         )
         assert total == plan.total_cycles
@@ -219,6 +216,6 @@ class TestModelPlanCompilation:
         spec = ModelSpec.uniform(2, 16, window_tokens=8, head_dim=HEAD_DIM)
         plan = ModelPlanCompiler(base_config=_config()).compile(spec)
         with pytest.raises(ValueError):
-            plan.span_cycles(0, 0, primed=False)
+            plan.span_cycles_matrix([[0, 0]], primed=False)
         with pytest.raises(ValueError):
-            plan.span_cycles(0, plan.total_rows + 1, primed=False)
+            plan.span_cycles_matrix([[0, plan.total_rows + 1]], primed=False)

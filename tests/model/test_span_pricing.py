@@ -150,6 +150,6 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="matrix"):
             plan.span_cycles_matrix([0, 3], primed=True)
 
-    def test_wrapper_rejects_negative_lower_bound(self, plan):
-        with pytest.raises(ValueError, match="out of range"):
-            plan.span_cycles(-1, 3, primed=True)
+    def test_single_span_rejects_negative_lower_bound(self, plan):
+        with pytest.raises(ValueError, match="increase strictly"):
+            plan.span_cycles_matrix([[-1, 3]], primed=True)

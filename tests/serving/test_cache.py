@@ -1,5 +1,7 @@
 """Tests for the plan/schedule cache."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,7 @@ class TestLookupIsTheOneEntryPoint:
         assert all(output is not None for output in result.outputs)
         self._assert_routed(cache, returned)
         assert {plan.seq_len for plan in returned} == {24, 32, 48}
+        # One pass serves outputs and traffic: one lookup per distinct
+        # attention seq_len per dispatch (24 is the forward's own compile).
+        attention_lookups = Counter(plan.seq_len for plan in returned if plan.seq_len != 24)
+        assert attention_lookups == {32: 1, 48: 1}

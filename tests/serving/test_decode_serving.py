@@ -98,11 +98,11 @@ class TestDecodePlan:
         """Any cold-start contiguous slicing reprices the whole plan exactly."""
         plan = self._plan()
         for step in (1, 3, 7, plan.total_rows):
-            cycles = plan.span_cycles(0, min(step, plan.total_rows), primed=False)
+            cycles = int(plan.span_cycles_matrix([[0, min(step, plan.total_rows)]], False)[0, 0])
             lo = min(step, plan.total_rows)
             while lo < plan.total_rows:
                 hi = min(lo + step, plan.total_rows)
-                cycles += plan.span_cycles(lo, hi, primed=True)
+                cycles += int(plan.span_cycles_matrix([[lo, hi]], True)[0, 0])
                 lo = hi
             assert cycles == plan.total_cycles
 
@@ -122,8 +122,8 @@ class TestDecodePlan:
 
     def test_out_of_range_span_raises(self):
         plan = self._plan()
-        with pytest.raises(ValueError, match="out of range"):
-            plan.span_cycles(0, plan.total_rows + 1, primed=True)
+        with pytest.raises(ValueError, match="increase strictly"):
+            plan.span_cycles_matrix([[0, plan.total_rows + 1]], primed=True)
 
 
 class TestKVResidency:

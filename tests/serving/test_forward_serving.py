@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SWATConfig
+from repro.core.power import PowerModel
 from repro.model import ModelExecutor, ModelSpec
 from repro.serving.backends import available_backends, batch_head_rows, create_backend
 from repro.serving.batcher import DynamicBatcher
@@ -126,7 +127,8 @@ class TestDrainServing:
         plan = backend.model_plan(request)
         assert result.cycles == plan.total_cycles
         assert result.kv_bytes_moved == plan.total_kv_bytes
-        assert result.energy_joules == pytest.approx(plan.total_energy_joules)
+        # One energy model: the serving device's power over modelled seconds.
+        assert result.energy_joules == PowerModel(config).total_power_w * plan.total_seconds
 
     def test_model_registry_memoises_per_spec(self):
         config = _config()
