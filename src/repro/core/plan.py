@@ -34,8 +34,9 @@ compilation exact and cheap:
   lies behind the window (``key < lo``).
 
 The seed's per-row construction is the test oracle
-``tests/core/schedule_oracle.py``, which the hypothesis property suite and
-the ``benchmarks/test_plan_compile.py`` speedup benchmark compare against.
+``tests/core/schedule_oracle.py`` and the per-row executor the test oracle
+``tests/core/executor_oracle.py``; the hypothesis property suites and the
+``benchmarks/test_plan_compile.py`` speedup benchmark compare against them.
 """
 
 from __future__ import annotations
@@ -53,13 +54,21 @@ __all__ = [
     "PlanBatch",
     "compile_plan",
     "execute_plan_attention",
-    "execute_plan_attention_rows",
 ]
 
 #: Query rows per executor chunk.  Each chunk turns into two dense GEMMs over
-#: a contiguous K/V slab of at most ``window_tokens + _CHUNK_ROWS - 1`` keys,
-#: bounding scratch memory while keeping the matrices BLAS-sized.
-_CHUNK_ROWS = 512
+#: a contiguous K/V slab of at most ``_CHUNK_ROWS + window_tokens - 1`` keys,
+#: so the masked score block is band-sized and a sequence costs
+#: ``O(seq_len * (_CHUNK_ROWS + window_tokens))`` work instead of
+#: ``O(seq_len**2)``.  Swept over 16..512 rows (stacked heads, BLAS at one
+#: thread, min of 15 interleaved runs on a shared 2-core x86 host), 16..128
+#: land within host noise of each other while 512 — one chunk for every
+#: serving length — is 2-4x slower; chunk 64 vs 512: BigBird w32 n512 G8
+#: 12.8 vs 58.3 ms, BigBird w32 n256 G16 13.0 vs 31.6 ms, Longformer w128
+#: n4096 11.4 vs 36.3 ms, Longformer w512 n4096 G2 51.7 vs 105.2 ms, default
+#: w512 n1024 G4 27.8 vs 54.1 ms.  Chunks under 64 can win on narrow windows
+#: but lose on wide ones, where 64 keeps the GEMMs BLAS-sized.
+_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +241,8 @@ class ExecutionPlan:
         Counts only the eagerly-compiled vectors — the footprint of a plan
         that has served analytical consumers.  The lazily-derived matrices a
         functional execution caches on the instance (:attr:`key_counts`,
-        :attr:`extra_counts`, :attr:`extra_indices` and, for the reference
-        executor, :attr:`key_indices`) are not included.
+        :attr:`extra_counts`, :attr:`extra_indices` and, once a per-row
+        consumer reads it, :attr:`key_indices`) are not included.
         """
         return sum(
             array.nbytes
@@ -284,29 +293,40 @@ def _compile_random_table(
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Build the static per-row random key matrix.
 
-    Bit-identical to the seed's per-row ``setdiff1d`` construction: the
-    candidate set of a row is the sorted union of the two contiguous ranges
-    ``[g, row - w)`` and ``[max(row + w, g), seq_len)``, which we build
-    arithmetically instead of with ``O(seq_len)`` set operations, feeding the
-    exact same candidate array (hence the exact same draws) to the same
-    seeded generator.
+    Bit-identical to the seed's per-row ``setdiff1d`` construction.  The
+    candidates of row ``i`` are the sorted union of the contiguous ranges
+    ``[g, i - w)`` (``n_behind`` keys) and ``[max(i + w, g), seq_len)``
+    (``n_ahead`` keys).  ``Generator.choice(population, count,
+    replace=False)`` draws the same indices — consuming the generator
+    identically — whether ``population`` is the candidate array or its size,
+    so each row draws indices against the integer population size and the
+    indices map to keys arithmetically: ``idx + g`` behind,
+    ``idx - n_behind + max(i + w, g)`` ahead.  The only per-row work is the
+    seeded draw itself; the whole table is sorted once, ``-1`` padding last.
     """
     num_random = config.num_random_tokens
-    random_keys = np.full((seq_len, max(num_random, 1)), -1, dtype=np.int64)
     random_counts = np.zeros(seq_len, dtype=np.int64)
     if not config.has_random_attention:
-        return random_keys[:, :0], random_counts
-    rng = np.random.default_rng(config.random_seed)
+        return np.empty((seq_len, 0), dtype=np.int64), random_counts
+    rows = np.arange(seq_len, dtype=np.int64)
     half_width = config.window_half_width
-    for row in range(seq_len):
-        behind = np.arange(g_eff, max(g_eff, row - half_width))
-        ahead = np.arange(max(row + half_width, g_eff), seq_len)
-        candidates = np.concatenate([behind, ahead])
-        if candidates.size == 0:
-            continue
-        count = min(num_random, candidates.size)
-        random_keys[row, :count] = np.sort(rng.choice(candidates, count, replace=False))
-        random_counts[row] = count
+    n_behind = np.maximum(0, rows - half_width - g_eff)
+    ahead_start = np.maximum(rows + half_width, g_eff)
+    population = n_behind + np.maximum(0, seq_len - ahead_start)
+    np.minimum(num_random, population, out=random_counts)
+
+    drawn = np.full((seq_len, num_random), -1, dtype=np.int64)
+    rng = np.random.default_rng(config.random_seed)
+    for row in np.flatnonzero(population).tolist():
+        count = int(random_counts[row])
+        drawn[row, :count] = rng.choice(int(population[row]), count, replace=False)
+
+    behind = drawn < n_behind[:, None]
+    random_keys = np.where(behind, drawn + g_eff, drawn - n_behind[:, None] + ahead_start[:, None])
+    # Padding sorts last as ``seq_len`` (above every key), then reads -1.
+    random_keys[drawn < 0] = seq_len
+    random_keys.sort(axis=1)
+    random_keys[random_keys == seq_len] = -1
     return random_keys, random_counts
 
 
@@ -447,8 +467,10 @@ def execute_plan_attention(
     are masked to ``-inf`` before the exponential, making their softmax
     weight exactly zero.  Only the few global/random extras per row are
     gathered, via the plan's compact :attr:`ExecutionPlan.extra_indices`
-    matrix.  Chunks are ``_CHUNK_ROWS`` rows, bounding scratch memory for
-    arbitrarily long sequences.
+    matrix.  Chunks are band-sized — ``_CHUNK_ROWS`` rows over a slab of at
+    most ``_CHUNK_ROWS + window_tokens - 1`` keys — so work and scratch
+    memory scale with ``seq_len * (_CHUNK_ROWS + window_tokens)``, not with
+    ``seq_len**2``.
 
     ``q``/``k``/``v`` may carry leading batch axes: ``(seq_len, head_dim)``
     executes one head, ``(G, seq_len, head_dim)`` a stack of ``G`` heads and
@@ -484,35 +506,6 @@ def execute_plan_attention(
         subtract_max=subtract_max,
     )
     return output.reshape(lead_shape + q.shape[-2:])
-
-
-def execute_plan_attention_rows(
-    plan: ExecutionPlan,
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    scale: "float | None" = None,
-    subtract_max: bool = False,
-) -> np.ndarray:
-    """Reference executor: one fused-kernel call per query row.
-
-    This is the pre-refactor execution shape (kept for the before/after
-    benchmark and the executor equivalence tests); the blocked executor above
-    must agree with it to float accumulation tolerance.
-    """
-    from repro.attention.fused import fused_row
-
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if scale is None:
-        scale = 1.0 / np.sqrt(q.shape[1])
-    output = np.empty_like(q)
-    for row in range(plan.seq_len):
-        indices = plan.key_indices[row, : plan.key_counts[row]]
-        result = fused_row(q[row], k[indices], v[indices], scale=scale, subtract_max=subtract_max)
-        output[row] = result.z
-    return output
 
 
 # ---------------------------------------------------------------------- #
