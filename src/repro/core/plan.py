@@ -305,15 +305,14 @@ def _compile_random_table(
     seeded draw itself; the whole table is sorted once, ``-1`` padding last.
     """
     num_random = config.num_random_tokens
-    random_counts = np.zeros(seq_len, dtype=np.int64)
     if not config.has_random_attention:
-        return np.empty((seq_len, 0), dtype=np.int64), random_counts
+        return np.empty((seq_len, 0), dtype=np.int64), np.zeros(seq_len, dtype=np.int64)
     rows = np.arange(seq_len, dtype=np.int64)
     half_width = config.window_half_width
     n_behind = np.maximum(0, rows - half_width - g_eff)
     ahead_start = np.maximum(rows + half_width, g_eff)
     population = n_behind + np.maximum(0, seq_len - ahead_start)
-    np.minimum(num_random, population, out=random_counts)
+    random_counts = np.minimum(num_random, population)
 
     drawn = np.full((seq_len, num_random), -1, dtype=np.int64)
     rng = np.random.default_rng(config.random_seed)

@@ -63,14 +63,6 @@ seq_len_strategy = st.one_of(
 
 
 class TestBandLocalExecutor:
-    def test_default_chunk_is_band_sized(self):
-        """The slab of a chunk is at most chunk + window - 1 keys."""
-        plan = compile_plan(_config(window_tokens=32), 512)
-        for start in range(0, plan.seq_len, CHUNK):
-            end = min(start + CHUNK, plan.seq_len)
-            slab = int(plan.window_hi[end - 1]) - int(plan.window_lo[start])
-            assert slab <= CHUNK + plan.window_tokens - 1
-
     @given(
         seq_len=seq_len_strategy,
         half_width=st.integers(1, 80),
