@@ -6,8 +6,8 @@ subscribers pays one branch per would-be event and never constructs the
 event object.  This suite holds that property to a number: modelled
 throughput of an instrumented-but-unsubscribed continuous run must stay
 within ``TELEMETRY_OVERHEAD_TOLERANCE`` (default 2%) of the uninstrumented
-baseline, measured as interleaved best-of wall times so scheduler noise
-cancels instead of accumulating on one side.
+baseline, measured as the median ratio of back-to-back serve pairs so host
+speed drift cancels instead of accumulating on one side.
 
 ``TELEMETRY_OVERHEAD_REQUESTS`` caps the trace length (CI smoke mode).  The
 measured ratio lands in ``BENCH_serving.json`` next to the throughput
@@ -15,6 +15,7 @@ numbers.
 """
 
 import os
+import statistics
 import time
 
 from repro.core.config import SWATConfig
@@ -26,6 +27,11 @@ from repro.telemetry.artifacts import record_bench
 
 #: Zero-subscriber instrumentation may cost at most this wall-time ratio.
 OVERHEAD_TOLERANCE = float(os.environ.get("TELEMETRY_OVERHEAD_TOLERANCE", "1.02"))
+
+#: Timed serves per variant: at least this many, and at least this much wall
+#: time, whichever comes later.
+MIN_SERVES = 20
+MIN_SECONDS = 0.5
 
 
 def _trace(config, count):
@@ -70,30 +76,37 @@ def test_zero_subscriber_instrumentation_is_free(benchmark):
 
     assert modelled(instrumented_result.stats) == modelled(baseline_result.stats)
 
-    rounds = 5
-    baseline_best = instrumented_best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        serve(None)
-        baseline_best = min(baseline_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        serve(idle_bus)
-        instrumented_best = min(instrumented_best, time.perf_counter() - start)
+    # Each round serves both variants back to back, alternating which goes
+    # first, and the gate reads the median of the rounds' instrumented /
+    # baseline ratios.  Two adjacent serves share the host's momentary
+    # speed, which on a shared host drifts by far more than the tolerance
+    # from round to round; a best-of taken on each side alone rests on that
+    # side's rarest fast serve and swings both ways by 10% and more.
+    variants = (None, idle_bus)
+    times: "tuple[list[float], list[float]]" = ([], [])
+    while len(times[0]) < MIN_SERVES or min(map(sum, times)) < MIN_SECONDS:
+        for side in (0, 1) if len(times[0]) % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            serve(variants[side])
+            times[side].append(time.perf_counter() - start)
+    serves = len(times[0])
+    baseline_ms, instrumented_ms = (statistics.median(side) * 1e3 for side in times)
 
     benchmark(serve, idle_bus)
-    ratio = instrumented_best / baseline_best
+    ratio = statistics.median(instrumented / baseline for baseline, instrumented in zip(*times))
     print(
-        f"\nzero-subscriber telemetry: instrumented {instrumented_best * 1e3:.1f} ms "
-        f"vs baseline {baseline_best * 1e3:.1f} ms ({ratio:.4f}x, "
-        f"tolerance {OVERHEAD_TOLERANCE:.2f}x, {count} requests)"
+        f"\nzero-subscriber telemetry: instrumented {instrumented_ms:.1f} ms "
+        f"vs baseline {baseline_ms:.1f} ms median ({ratio:.4f}x median paired ratio, "
+        f"tolerance {OVERHEAD_TOLERANCE:.2f}x, {count} requests, {serves} rounds)"
     )
     record_bench(
         "BENCH_serving.json",
         "telemetry_zero_subscriber_overhead",
         {
             "requests": count,
-            "baseline_ms": round(baseline_best * 1e3, 3),
-            "instrumented_ms": round(instrumented_best * 1e3, 3),
+            "serves": serves,
+            "baseline_ms": round(baseline_ms, 3),
+            "instrumented_ms": round(instrumented_ms, 3),
             "ratio": round(ratio, 4),
             "tolerance": OVERHEAD_TOLERANCE,
         },

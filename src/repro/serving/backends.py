@@ -157,7 +157,7 @@ class BackendResult:
     head_rows: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepBurst:
     """Prices of a *burst* of consecutive iterations over fixed residents.
 
@@ -672,17 +672,17 @@ class _SWATBackendBase(AttentionBackend):
         each iteration on its first largest slice.
         """
         iterations = _burst_iterations(slices, iteration_rows)
-        streamed = (iterations - 1) * iteration_rows
-        plans = [self._positional_plan(request) for request, _, _ in slices]
-        if all(plan is None for plan in plans):
-            last_rows = max(
-                min(iteration_rows, rows_left - streamed) for _, _, rows_left in slices
-            )
-            gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
+        positional = (DecodeRequest, ForwardRequest)
+        if not any(isinstance(request, positional) for request, _, _ in slices):
+            streamed = (iterations - 1) * iteration_rows
+            last_rows = min(iteration_rows, max(rows_left for _, _, rows_left in slices) - streamed)
+            gate_rows = np.empty(iterations, dtype=np.int64)
+            gate_rows.fill(iteration_rows)
             gate_rows[-1] = last_rows
             cycles = gate_rows * self._initiation_interval
             if not primed:
-                cycles[0] = self.simulator.pipeline.cycles_for_rows(int(gate_rows[0]))
+                # A cold first iteration pays the fill (cycles_for_rows).
+                cycles[0] += self._pipeline_depth - self._initiation_interval
             seconds = cycles * self._clock_period_s
             return StepBurst(
                 seconds=seconds,
@@ -691,6 +691,7 @@ class _SWATBackendBase(AttentionBackend):
                 gate_rows=gate_rows,
                 iterations=iterations,
             )
+        plans = [self._positional_plan(request) for request, _, _ in slices]
         rows_done, rows_left = np.array([slice_[1:] for slice_ in slices], dtype=np.int64).T
         steps = np.arange(iterations + 1, dtype=np.int64) * iteration_rows
         bounds = rows_done[:, None] + np.minimum(steps, rows_left[:, None])

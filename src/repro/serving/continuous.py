@@ -43,10 +43,11 @@ Two scheduler implementations produce bit-identical results
     its resident set is fixed — the backend prices that whole *burst* of
     iterations in one closed-form
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
-    the loop folds it into the accounting with sequential ``cumsum``\\ s that
-    reproduce the per-iteration float additions bit for bit.  Shards run
-    ahead of each other: each burst's per-iteration results wait in a
-    per-shard buffer, and every heap pop first merges the buffered
+    the loop folds it into the accounting with one in-place ``cumsum`` over
+    a chain matrix (clock, busy seconds, energy and each resident's device
+    seconds) that reproduces the per-iteration float additions bit for bit.
+    Shards run ahead of each other: each burst's per-iteration results wait
+    in a per-shard buffer, and every heap pop first merges the buffered
     iterations keyed below it in ``(start, shard)`` order — the reference
     loop's iteration order — so records, events and shared accumulators
     come out exactly as the reference loop produces them.  Cost scales with
@@ -202,11 +203,6 @@ class InFlightRequest:
     def remaining_rows(self) -> int:
         """Row-work units still to stream before retirement."""
         return self.rows_total - self.rows_done
-
-    @property
-    def finished(self) -> bool:
-        """True once every row of the request has streamed."""
-        return self.rows_done >= self.rows_total
 
 
 @dataclass(frozen=True)
@@ -407,13 +403,16 @@ class ContinuousBatcher:
         settles each retirement later, at its place in the merged iteration
         order.
         """
-        retired = [inflight for inflight in self.running[shard] if inflight.finished]
-        if retired:
-            self.running[shard] = [
-                inflight for inflight in self.running[shard] if not inflight.finished
-            ]
-            for inflight in retired:
+        retired: "list[InFlightRequest]" = []
+        remaining: "list[InFlightRequest]" = []
+        for inflight in self.running[shard]:
+            if inflight.rows_done >= inflight.rows_total:
                 inflight.finish_time = now
+                retired.append(inflight)
+            else:
+                remaining.append(inflight)
+        if retired:
+            self.running[shard] = remaining
             if release:
                 self.release(retired)
         return retired
@@ -809,12 +808,21 @@ class _BufferedBurst:
     already merged.
     ``retired`` (empty unless the burst runs to a retirement) settles at the
     final iteration's key.
+
+    ``energy`` is the burst's energy chained at pricing time: ``energy[0]``
+    is ``total_energy`` when the burst was priced and ``energy[j]`` adds the
+    first ``j`` iteration energies to it left to right.  A merged run of
+    iterations ``[start, stop)`` takes ``energy[stop]`` whenever
+    ``total_energy`` still equals ``energy[start]`` — the same additions
+    from the same value give the same bits — and otherwise (another shard's
+    iterations interleaved) chains its energies onto ``total_energy`` anew.
     """
 
     shard: int
     slices: "list[tuple[AttentionRequest, int, int]]"
     burst: StepBurst
     starts: "np.ndarray"
+    energy: "np.ndarray"
     primed: bool
     admitted: "list[InFlightRequest]"
     retired: "list[InFlightRequest]"
@@ -839,16 +847,25 @@ def _event_loop(state: _RunState) -> None:
     the shard has a free slot the burst is cut short at the first iteration
     whose start would admit the next arrival.  Shards only meet in the
     waiting queue, and admissions happen at heap pops in global time order,
-    so each shard runs ahead of the others.  Per-resident state (rows,
-    device seconds, block stamps) is private to the shard and folds at once
-    through sequential ``cumsum``\\ s over the same values the reference
-    loop adds one at a time; the slots of a retiring burst are freed at
-    once, so the shard's next activation sees its post-retirement residents.
+    so each shard runs ahead of the others.  Every float accumulator a burst
+    advances folds through one chain matrix: the clock, the shard's busy
+    seconds, ``total_energy`` and each resident's device seconds are one row
+    each, starting from their current values, and one in-place
+    ``cumsum(axis=1)`` adds the burst's per-iteration seconds (energies on
+    the energy row) in the order the reference loop adds them one at a
+    time.  The clock row doubles as the iteration boundaries for the
+    arrival cut and the decode block stamps.  Per-resident state (rows,
+    device seconds, block stamps) is private to the shard and takes its
+    values at once; the slots of a retiring burst are freed at once, so the
+    shard's next activation sees its post-retirement residents.
 
     Everything shared — the iteration index, ``total_energy``, retirement
     settlement (functional outputs and their plan-cache lookups, KV
     release, completion and decode folding) and every record and event —
-    waits in a per-shard buffer (:class:`_BufferedBurst`).  The reference
+    waits in a per-shard buffer (:class:`_BufferedBurst`).  The energy row is
+    chained at pricing time; the merge takes its value when no other
+    shard's iteration was merged in between (always, on one shard) and
+    otherwise re-chains the energies onto the merged total.  The reference
     loop's iteration sequence is sorted by ``(start, shard)``, so each pop
     first merges every buffered iteration keyed below the popped entry, in
     key order (:func:`_merge`); the merged stream carries the reference
@@ -924,45 +941,38 @@ def _event_loop(state: _RunState) -> None:
         ]
         burst = shards[shard].step_burst(burst_slices, primed[shard], quantum)
         length = burst.iterations
-        # times[j] is the start of iteration j + 1; times[length] the end.
-        # Built as [now, s0, s1, ...] then cumsummed in place: numpy's cumsum
-        # adds strictly left to right, so every entry carries the exact bits
-        # the reference loop's one-at-a-time ``+=`` would produce.
-        times = np.empty(length + 1)
-        times[0] = clock.now
-        times[1:] = burst.seconds
-        times.cumsum(out=times)
+        # One chain matrix per burst: rows are the clock, busy seconds,
+        # total energy and each resident's device seconds; column 0 holds
+        # their values now, columns 1.. the iteration seconds (energies on
+        # the energy row).  numpy's cumsum adds strictly left to right, so
+        # column j carries the exact bits of the reference loop's first j
+        # one-at-a-time additions; row 0 is the clock at each iteration
+        # boundary.
+        chain = np.empty((len(residents) + 3, length + 1))
+        chain[:, 0] = [
+            clock.now,
+            clock.busy_seconds,
+            state.total_energy,
+            *[inflight.device_seconds for inflight in residents],
+        ]
+        chain[:, 1:] = burst.seconds
+        chain[2, 1:] = burst.energy_joules
+        chain.cumsum(axis=1, out=chain)
+        times = chain[0]
         if head_now is not None and free_slots(shard) > 0:
             # An admission-eligible arrival ends the burst at the first
             # iteration whose start would admit it (arrival <= start).
             length = min(
                 length, 1 + int(np.searchsorted(times[1:length], head_now, side="left"))
             )
-        if length == 1:
-            seconds0 = float(burst.seconds[0])
-            clock.now += seconds0
-            clock.busy_seconds += seconds0
-            for inflight in residents:
-                inflight.rows_done += min(quantum, inflight.rows_total - inflight.rows_done)
-                inflight.device_seconds += seconds0
-                if inflight.token_boundaries is not None:
-                    _mark_blocks(inflight, clock.now)
-        else:
-            durations = burst.seconds[:length]
-            clock.now = float(times[length])
-            clock.busy_seconds = _chained_sum(clock.busy_seconds, durations)
-            device = np.empty((len(residents), length + 1))
-            for index, inflight in enumerate(residents):
-                device[index, 0] = inflight.device_seconds
-            device[:, 1:] = durations
-            device.cumsum(axis=1, out=device)
-            advanced = length * quantum
-            for index, inflight in enumerate(residents):
-                start_rows = inflight.rows_done
-                inflight.rows_done += min(advanced, inflight.rows_total - inflight.rows_done)
-                inflight.device_seconds = float(device[index, length])
-                if inflight.token_boundaries is not None:
-                    _mark_blocks_burst(inflight, start_rows, times, quantum)
+        clock.now, clock.busy_seconds, _, *device_seconds = chain[:, length].tolist()
+        advanced = length * quantum
+        for inflight, seconds in zip(residents, device_seconds):
+            start_rows = inflight.rows_done
+            inflight.rows_done = min(start_rows + advanced, inflight.rows_total)
+            inflight.device_seconds = seconds
+            if inflight.token_boundaries is not None:
+                _mark_blocks_burst(inflight, start_rows, times, quantum)
         occupancy = len(residents) / max_batch_size
         occupancy_counts[occupancy] += length
         retired = (
@@ -975,6 +985,7 @@ def _event_loop(state: _RunState) -> None:
             burst_slices,
             burst,
             times[:length],
+            chain[2, : length + 1],
             primed[shard],
             admitted,
             retired,
@@ -1050,11 +1061,14 @@ def _merge_run(state: _RunState, buffered: _BufferedBurst, stop: int) -> None:
     stacked functional pass, completions and decode folding.
     """
     start = buffered.offset
-    energies = buffered.burst.energy_joules
-    if stop - start == 1:
-        state.total_energy += float(energies[start])
+    if state.total_energy == buffered.energy[start]:
+        state.total_energy = float(buffered.energy[stop])
+    elif stop - start == 1:
+        state.total_energy += float(buffered.burst.energy_joules[start])
     else:
-        state.total_energy = _chained_sum(state.total_energy, energies[start:stop])
+        state.total_energy = _chained_sum(
+            state.total_energy, buffered.burst.energy_joules[start:stop]
+        )
     base_index = state.num_iterations - start
     state.num_iterations += stop - start
     buffered.offset = stop

@@ -366,16 +366,19 @@ class TestSchedulerEquivalence:
         num_shards=st.integers(1, 3),
         policy=st.sampled_from(["fcfs", "sjf"]),
         admission=st.sampled_from(["continuous", "drain"]),
+        # The GPU and dense-FPGA bursts price energy apart from power x
+        # seconds, so the energy chained at pricing time is checked there too.
+        backend=st.sampled_from(["analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]),
     )
     def test_event_scheduler_matches_reference_bitwise(
-        self, trace, num_shards, policy, admission
+        self, trace, num_shards, policy, admission, backend
     ):
         seq_lens, arrival_seed, max_batch_size, iteration_rows = trace
         config = _config()
         event_run, reference_run = self._run_both(
             _trace_requests(seq_lens, arrival_seed, functional=False),
             config=config,
-            backend="analytical",
+            backend=backend,
             num_shards=num_shards,
             max_batch_size=max_batch_size,
             iteration_rows=iteration_rows,
@@ -587,6 +590,71 @@ class TestShardDecoupledBursts:
         # The shards' iterations interleave in the merged record stream.
         shards = [record.shard for record in result.iterations]
         assert shards[:3] == [0, 1, 2]
+
+
+class TestEnergyChainedAtPricing:
+    """``total_energy`` takes the energy row chained when a burst is priced.
+
+    The merge re-chains a run's energies (``_chained_sum``) only when another
+    shard's iterations were merged into ``total_energy`` since the burst was
+    priced; both branches must land on the reference loop's bits.
+    """
+
+    @staticmethod
+    def _serve_both(requests, **kwargs):
+        with (
+            mock.patch.object(continuous, "_chained_sum", wraps=continuous._chained_sum) as chained,
+            mock.patch.object(continuous, "_merge_run", wraps=continuous._merge_run) as runs,
+        ):
+            event = serve_continuous(list(requests), scheduler="event", **kwargs)
+        reference = serve_continuous(list(requests), scheduler="reference", **kwargs)
+        for spec in fields(ServingStats):
+            if spec.name == "wall_seconds":
+                continue
+            value = getattr(event.stats, spec.name)
+            assert value == getattr(reference.stats, spec.name), spec.name
+        assert event.iterations == reference.iterations
+        merged = [call.args[1] for call in runs.call_args_list]
+        return chained.call_count, merged
+
+    def test_one_shard_never_rechains_energy(self):
+        # A saturated Poisson trace on one device with free slots: arrivals
+        # cut bursts short, and every merged run still takes the chained row.
+        config = _config()
+        seq_lens = [16, 24, 33, 48, 8, 64] * 6
+        rate = 3.0 * swat_request_rate(config, seq_lens, max_batch_size=3)
+        requests = make_requests(
+            seq_lens,
+            config.head_dim,
+            functional=False,
+            arrival_times=poisson_arrivals(len(seq_lens), rate, seed=5),
+        )
+        calls, merged = self._serve_both(
+            requests, config=config, backend="analytical", max_batch_size=3, iteration_rows=4
+        )
+        assert calls == 0
+        assert any(len(buffered.starts) < buffered.burst.iterations for buffered in merged)
+
+    def test_interleaved_shards_fall_back_to_rechaining(self):
+        # A long request holds shard 0 while a short one runs on shard 1
+        # mid-burst: shard 0's iterations after the overlap merge onto a
+        # total that includes shard 1's energy, so they re-chain.
+        config = _config()
+        pipeline = SWATPipelineModel(config)
+        iteration_seconds = 16 * pipeline.initiation_interval * config.clock_period_s
+        requests = [
+            AttentionRequest(seq_len=1024, arrival_time=0.0),
+            AttentionRequest(seq_len=64, arrival_time=3.5 * iteration_seconds),
+        ]
+        calls, _ = self._serve_both(
+            requests,
+            config=config,
+            backend="analytical",
+            num_shards=2,
+            max_batch_size=1,
+            iteration_rows=16,
+        )
+        assert calls >= 1
 
 
 class TestHeadOfLineBlocking:
