@@ -366,8 +366,9 @@ class TestSchedulerEquivalence:
         num_shards=st.integers(1, 3),
         policy=st.sampled_from(["fcfs", "sjf"]),
         admission=st.sampled_from(["continuous", "drain"]),
-        # The GPU and dense-FPGA bursts price energy apart from power x
-        # seconds, so the energy chained at pricing time is checked there too.
+        # GPU bursts price energy off per-shape reports, not power x seconds,
+        # and dense-FPGA runs its own clock: the energy chained at pricing
+        # time must reproduce the reference bits on each of them too.
         backend=st.sampled_from(["analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]),
     )
     def test_event_scheduler_matches_reference_bitwise(
